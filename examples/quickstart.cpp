@@ -177,7 +177,8 @@ int main(int argc, char** argv) {
     // immediately under identical options.
     api::SizingSession rerun(netlist::parse_bench_string(netlist::kIscas85C17),
                              options);
-    (void)rerun.warm_start_from(session.result());
+    (void)rerun.warm_start(runtime::sparse_sizes(session.result()),
+                           session.result().ogws.warm);
     if (rerun.run_all().ok()) {
       std::printf("  warm-started re-size: %d iteration(s) to re-converge\n",
                   rerun.summary().iterations);

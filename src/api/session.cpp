@@ -41,7 +41,7 @@ Status SizingSession::begin_stage(Stage expected, const char* name) {
     return Status::FailedPrecondition(
         std::string(name) +
         "() called on a finished session; SizingSession is one-shot — build a "
-        "new session (optionally warm_start_from() this result) to re-size");
+        "new session (optionally warm_start() from this result) to re-size");
   }
   if (next_ != expected) {
     return Status::FailedPrecondition(std::string(name) +
@@ -56,60 +56,20 @@ Status SizingSession::begin_stage(Stage expected, const char* name) {
   return Status::Ok();
 }
 
-Status SizingSession::warm_start_from(const core::FlowResult& prior) {
+Status SizingSession::warm_start(std::vector<std::pair<std::int32_t, double>> sizes,
+                                 core::OgwsWarmStart multipliers) {
   if (next_ == Stage::kDone) {
-    return Status::FailedPrecondition("warm_start_from() after size() has no effect");
+    return Status::FailedPrecondition("warm_start() after size() has no effect");
   }
-  if (warm_.has_value() || !warm_entries_.empty() || warm_multipliers_.has_value()) {
+  if (seed_.has_value()) {
     return Status::FailedPrecondition("a warm start is already configured");
   }
-  core::OgwsWarmStart warm = prior.ogws.warm;
-  if (warm.sizes.empty()) warm.sizes = prior.ogws.sizes;
-  if (warm.sizes.empty()) {
-    return Status::InvalidArgument(
-        "prior FlowResult carries no sizes to warm-start from");
-  }
-  warm_ = std::move(warm);
-  return Status::Ok();
-}
-
-Status SizingSession::warm_start_sizes(
-    std::vector<std::pair<std::int32_t, double>> entries) {
-  if (next_ == Stage::kDone) {
-    return Status::FailedPrecondition("warm_start_sizes() after size() has no effect");
-  }
-  if (warm_.has_value() || !warm_entries_.empty() || warm_multipliers_.has_value()) {
-    return Status::FailedPrecondition("a warm start is already configured");
-  }
-  if (entries.empty()) {
-    return Status::InvalidArgument("warm_start_sizes() got an empty entry list");
-  }
-  warm_entries_ = std::move(entries);
-  return Status::Ok();
-}
-
-Status SizingSession::warm_start_eco(
-    std::vector<std::pair<std::int32_t, double>> entries,
-    core::OgwsWarmStart multipliers) {
-  if (next_ == Stage::kDone) {
-    return Status::FailedPrecondition("warm_start_eco() after size() has no effect");
-  }
-  if (warm_.has_value() || !warm_entries_.empty() || warm_multipliers_.has_value()) {
-    return Status::FailedPrecondition("a warm start is already configured");
-  }
+  multipliers.sizes.clear();  // by contract, sizes travel in `sizes`
   const bool have_multipliers = !multipliers.lambda.empty() ||
                                 !multipliers.gamma_net.empty() ||
                                 multipliers.beta != 0.0 || multipliers.gamma != 0.0;
-  if (entries.empty() && !have_multipliers) {
-    return Status::InvalidArgument(
-        "warm_start_eco() got neither size entries nor multipliers — the "
-        "whole netlist is dirty; run cold instead");
-  }
-  warm_entries_ = std::move(entries);
-  if (have_multipliers) {
-    multipliers.sizes.clear();  // by contract, sizes travel in `entries`
-    warm_multipliers_ = std::move(multipliers);
-  }
+  if (sizes.empty() && !have_multipliers) return Status::Ok();  // cold start
+  seed_ = Seed{std::move(sizes), std::move(multipliers)};
   return Status::Ok();
 }
 
@@ -241,16 +201,38 @@ Status SizingSession::size() {
   if (Status st = begin_stage(Stage::kSize, "size"); !st.ok()) return st;
   netlist::Circuit& circuit = elab_->circuit;
 
-  // Materialize a sparse warm start against the now-known circuit.
-  if (!warm_entries_.empty() || warm_multipliers_.has_value()) {
-    core::OgwsWarmStart warm;
-    warm.sizes = circuit.sizes();
-    for (const auto& [node, size] : warm_entries_) {
+  // Materialize the warm start against the now-known circuit. Multiplier
+  // lengths are checked first: they name a seed from another circuit.
+  std::optional<core::OgwsWarmStart> warm;
+  if (seed_.has_value()) {
+    warm = std::move(seed_->multipliers);
+    const char* const same_circuit =
+        " — was the seed produced from the same netlist and elaboration "
+        "options?";
+    if (!warm->lambda.empty() &&
+        warm->lambda.size() != static_cast<std::size_t>(circuit.num_edges())) {
+      std::ostringstream out;
+      out << "warm-start multipliers carry " << warm->lambda.size()
+          << " entries but the elaborated circuit has " << circuit.num_edges()
+          << " edges" << same_circuit;
+      return Status::InvalidArgument(out.str());
+    }
+    if (!warm->gamma_net.empty() &&
+        warm->gamma_net.size() != static_cast<std::size_t>(circuit.num_nodes())) {
+      std::ostringstream out;
+      out << "warm-start per-net multipliers carry " << warm->gamma_net.size()
+          << " entries but the elaborated circuit has " << circuit.num_nodes()
+          << " nodes" << same_circuit;
+      return Status::InvalidArgument(out.str());
+    }
+    warm->sizes = circuit.sizes();
+    for (const auto& [node, size] : seed_->sizes) {
       if (node < circuit.first_component() || node >= circuit.end_component()) {
         std::ostringstream out;
         out << "warm-start size entry names node " << node
             << ", outside the elaborated circuit's component range ["
-            << circuit.first_component() << ", " << circuit.end_component() << ")";
+            << circuit.first_component() << ", " << circuit.end_component() << ")"
+            << same_circuit;
         return Status::InvalidArgument(out.str());
       }
       if (!(size > 0.0)) {
@@ -259,48 +241,10 @@ Status SizingSession::size() {
             << ")";
         return Status::InvalidArgument(out.str());
       }
-      warm.sizes[static_cast<std::size_t>(node)] =
+      warm->sizes[static_cast<std::size_t>(node)] =
           std::clamp(size, circuit.lower_bound(node), circuit.upper_bound(node));
     }
-    if (warm_multipliers_.has_value()) {
-      // warm_start_eco: graft the base run's multiplier state onto the
-      // materialized sizes (lengths are validated just below).
-      warm.lambda = std::move(warm_multipliers_->lambda);
-      warm.beta = warm_multipliers_->beta;
-      warm.gamma = warm_multipliers_->gamma;
-      warm.gamma_net = std::move(warm_multipliers_->gamma_net);
-      warm_multipliers_.reset();
-    }
-    warm_ = std::move(warm);
-    warm_entries_.clear();
-  }
-  if (warm_.has_value()) {
-    if (warm_->sizes.size() != static_cast<std::size_t>(circuit.num_nodes())) {
-      std::ostringstream out;
-      out << "warm-start sizes carry " << warm_->sizes.size()
-          << " entries but the elaborated circuit has " << circuit.num_nodes()
-          << " nodes — was the prior result produced from the same netlist and "
-             "elaboration options?";
-      return Status::InvalidArgument(out.str());
-    }
-    if (!warm_->lambda.empty() &&
-        warm_->lambda.size() != static_cast<std::size_t>(circuit.num_edges())) {
-      std::ostringstream out;
-      out << "warm-start multipliers carry " << warm_->lambda.size()
-          << " entries but the elaborated circuit has " << circuit.num_edges()
-          << " edges — was the prior result produced from the same netlist and "
-             "elaboration options?";
-      return Status::InvalidArgument(out.str());
-    }
-    if (!warm_->gamma_net.empty() &&
-        warm_->gamma_net.size() != static_cast<std::size_t>(circuit.num_nodes())) {
-      std::ostringstream out;
-      out << "warm-start per-net multipliers carry " << warm_->gamma_net.size()
-          << " entries but the elaborated circuit has " << circuit.num_nodes()
-          << " nodes — was the prior result produced from the same netlist and "
-             "elaboration options?";
-      return Status::InvalidArgument(out.str());
-    }
+    seed_.reset();
   }
 
   obs::ScopedSpan span(trace_, "size", "session");
@@ -309,7 +253,7 @@ Status SizingSession::size() {
   control.stop = stop_;
   control.capture_warm_start = capture_warm_start_;
   control.trace = trace_;
-  if (warm_.has_value()) control.warm_start = &*warm_;
+  if (warm.has_value()) control.warm_start = &*warm;
 
   // Intra-job parallelism: a caller-supplied executor wins; otherwise the
   // session runs its own kernel team for the duration of this stage when

@@ -20,7 +20,7 @@
 //   * Stages run in order, each exactly once; out-of-order calls return
 //     kFailedPrecondition and leave the session untouched.
 //   * A session runs its pipeline once (one-shot); build a new session to
-//     re-size, seeding it with warm_start_from() to skip converged work.
+//     re-size, seeding it with warm_start() to skip converged work.
 //   * Results are bit-identical to run_two_stage_flow() with the same
 //     netlist and options — the free function is a shim over this class.
 //   * Cancellation: every stage checks the stop token on entry (returning
@@ -97,36 +97,29 @@ class SizingSession {
   /// way (the hooks only read optimizer state).
   void set_trace(obs::TraceSession* trace) { trace_ = trace; }
 
-  /// Record the warm-start snapshot (`result().ogws.warm`) so this run can
-  /// seed warm_start_from() later. On by default — session results are
+  /// Record the best-dual multipliers (`result().ogws.warm`) so this run can
+  /// seed warm_start() later. On by default — session results are
   /// restart seeds by contract; fire-and-forget harnesses that never reuse
   /// a result (e.g. the paper-reproduction benches) turn it off to skip the
   /// O(edges) multiplier copy per dual-improving iteration.
   void set_capture_warm_start(bool on) { capture_warm_start_ = on; }
 
-  /// Seed the sizing stage from a prior run's result: the prior sizes become
-  /// the incumbent iterate and the prior best-dual multipliers the starting
-  /// point, so identical options re-converge in one or two iterations and
-  /// tweaked options start from the converged neighborhood. The prior result
-  /// must come from the same netlist/elaboration (node/edge counts are
-  /// validated when size() runs). Fails once size() has run.
-  Status warm_start_from(const core::FlowResult& prior);
-
-  /// Warm-start from sparse per-node sizes (e.g. `# size` annotations of a
-  /// sized .bench written by the CLI): unlisted components keep the
-  /// initial size. Entries are (circuit NodeId, size); ids are validated
-  /// against the elaborated circuit when size() runs.
-  Status warm_start_sizes(std::vector<std::pair<std::int32_t, double>> entries);
-
-  /// ECO warm start (docs/ECO.md): sparse per-node sizes for the *clean*
-  /// region of an edited netlist — built by eco::seed_from_index from a
-  /// cached base run — plus, optionally, the base run's multiplier state
-  /// (`multipliers.sizes` is ignored; pass it empty). The multipliers are
-  /// only valid when the revised circuit keeps the base's node/edge counts
-  /// (e.g. op-only edits); lengths are validated when size() runs. Fails if
-  /// any warm start is already configured, like the other two seeders.
-  Status warm_start_eco(std::vector<std::pair<std::int32_t, double>> entries,
-                        core::OgwsWarmStart multipliers);
+  /// Seed the sizing stage — the one warm-start path. `sizes` are sparse
+  /// (circuit NodeId, size) pairs that become the first iterate and the
+  /// first incumbent; unlisted components keep the initial size.
+  /// `multipliers`, when non-empty, start the dual ascent (its `sizes`
+  /// member is ignored). By Theorem 5 the iterate OGWS moves to depends only
+  /// on the multipliers, so a sizes-only seed counts only as an incumbent.
+  /// Usual seeds:
+  ///   * a prior result: runtime::sparse_sizes(prior) plus prior.ogws.warm —
+  ///     identical options re-converge in one or two iterations;
+  ///   * the `# size` annotations of a sized .bench (no multipliers);
+  ///   * an eco::EcoSeed for an edited netlist (docs/ECO.md).
+  /// Node ids and multiplier lengths are validated against the elaborated
+  /// circuit when size() runs. An empty seed (no sizes, no multipliers) is a
+  /// cold start. Fails once size() has run or when a seed is already set.
+  Status warm_start(std::vector<std::pair<std::int32_t, double>> sizes,
+                    core::OgwsWarmStart multipliers = {});
 
   // ---- stages --------------------------------------------------------------
 
@@ -182,11 +175,12 @@ class SizingSession {
   util::Executor* external_executor_ = nullptr;
   obs::TraceSession* trace_ = nullptr;
   bool capture_warm_start_ = true;
-  std::optional<core::OgwsWarmStart> warm_;
-  std::vector<std::pair<std::int32_t, double>> warm_entries_;
-  /// Multiplier state accompanying warm_entries_ (warm_start_eco only);
-  /// merged into the materialized warm start when size() runs.
-  std::optional<core::OgwsWarmStart> warm_multipliers_;
+  /// The warm_start() seed, materialized against the circuit by size().
+  struct Seed {
+    std::vector<std::pair<std::int32_t, double>> sizes;
+    core::OgwsWarmStart multipliers;
+  };
+  std::optional<Seed> seed_;
 
   // Intermediate state, populated stage by stage and moved into the final
   // FlowResult by size().

@@ -111,12 +111,10 @@ api::Status IncrementalSizer::resize(netlist::LogicNetlist revised,
   LRSIZER_ASSERT(out != nullptr);
   EcoSeed seed = seed_from_index(revised, options_, index_);
   api::SizingSession session(std::move(revised), options_);
-  if (!seed.empty()) {
-    if (api::Status st = session.warm_start_eco(std::move(seed.sizes),
-                                                std::move(seed.multipliers));
-        !st.ok()) {
-      return st;
-    }
+  if (api::Status st =
+          session.warm_start(std::move(seed.sizes), std::move(seed.multipliers));
+      !st.ok()) {
+    return st;
   }
   if (api::Status st = session.run_all(); !st.ok()) return st;
   out->summary = session.summary();

@@ -12,16 +12,18 @@
 //      warm-start entries; when the revised circuit keeps the base's exact
 //      node/edge counts — e.g. op-only edits, which do not change the
 //      elaborated structure — the multipliers transfer verbatim too.
-//   3. api::SizingSession::warm_start_eco() consumes the seed; OGWS starts
-//      in the converged neighborhood and re-converges in a fraction of the
-//      cold iteration count (bench/bench_eco.cpp commits the trajectory).
+//   3. api::SizingSession::warm_start() — the one seeding path, shared
+//      with `--warm-start` and BatchJob seeds — consumes the seed's sizes
+//      and multipliers; OGWS starts in the converged neighborhood and
+//      re-converges in a fraction of the cold iteration count
+//      (bench/bench_eco.cpp commits the trajectory).
 //
-// Like `--cache-warm`, an ECO-seeded run converges to an equally valid but
-// not bit-identical solution trajectory versus a cold run.
+// An ECO-seeded run converges to an equally valid but not bit-identical
+// solution trajectory versus a cold run.
 //
 // IncrementalSizer bundles 2+3 for CLI/bench use; the serve loop instead
-// stores the index inside runtime::ResultCache entries and matches bases by
-// output-cone fingerprint (runtime/cache.hpp).
+// stores the index inside runtime::ResultCache entries and finds its base
+// with ResultCache::lookup_base (runtime/cache.hpp).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +50,7 @@ runtime::EcoIndex build_eco_index(const netlist::LogicNetlist& netlist,
 /// What seed_from_index() recovered from the snapshot for one revision.
 struct EcoSeed {
   /// Sparse (circuit NodeId, size) warm-start entries covering the clean
-  /// nets — food for api::SizingSession::warm_start_eco.
+  /// nets — food for api::SizingSession::warm_start.
   std::vector<std::pair<std::int32_t, double>> sizes;
   /// The base run's multiplier state when the revised circuit has the same
   /// node/edge counts; default-constructed (empty) otherwise.

@@ -72,17 +72,10 @@ JobOutcome run_job(BatchJob job, const JobControls& controls) {
           [&observer = controls.observer, &name = outcome.name](
               const core::OgwsIterate& iterate) { observer(name, iterate); });
     }
-    if (!job.eco_warm.empty()) {
-      if (const api::Status st = session.warm_start_eco(std::move(job.warm_sizes),
-                                                        std::move(job.eco_warm));
-          !st.ok()) {
-        throw std::invalid_argument("batch job '" + job.name + "': " + st.to_string());
-      }
-    } else if (!job.warm_sizes.empty()) {
-      if (const api::Status st = session.warm_start_sizes(std::move(job.warm_sizes));
-          !st.ok()) {
-        throw std::invalid_argument("batch job '" + job.name + "': " + st.to_string());
-      }
+    if (const api::Status st =
+            session.warm_start(std::move(job.warm_sizes), std::move(job.eco_warm));
+        !st.ok()) {
+      throw std::invalid_argument("batch job '" + job.name + "': " + st.to_string());
     }
     const api::Status status = session.run_all();
     outcome.cancelled = session.cancelled();
@@ -168,8 +161,8 @@ BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
   // Cache pre-pass (submit-order deterministic, so reports stay byte-equal
   // at any worker count): key every cacheable job, answer completed hits
   // without submitting, and collapse byte-identical in-batch duplicates
-  // onto their first occurrence. Jobs with explicit warm_sizes bypass the
-  // cache — their outcome depends on the seed sizes, not just the key.
+  // onto their first occurrence. Jobs with a warm-start seed bypass the
+  // cache — their outcome depends on the seed, not just the key.
   const std::size_t n = jobs.size();
   std::vector<CacheKey> keys(n);
   std::vector<char> cacheable(n, 0);
@@ -183,16 +176,7 @@ BatchResult run_batch(std::vector<BatchJob> jobs, ThreadPool& pool,
       cacheable[i] = 1;
       if ((hit[i] = options.cache->lookup(keys[i].key))) continue;
       const auto [it, inserted] = owner_of.emplace(keys[i].key, i);
-      if (!inserted) {
-        dup_of[i] = static_cast<std::ptrdiff_t>(it->second);
-      } else if (options.cache_warm) {
-        if (const auto warm = options.cache->lookup_warm(keys[i])) {
-          // Near-identical prior result (same circuit, other options):
-          // seed from its sizes. The run stays the key's owner and is
-          // published, so later identical jobs hit.
-          jobs[i].warm_sizes = warm->sizes;
-        }
-      }
+      if (!inserted) dup_of[i] = static_cast<std::ptrdiff_t>(it->second);
     }
   }
 

@@ -33,8 +33,9 @@ const char* load_mode_name(timing::CouplingLoadMode mode) {
   return "?";
 }
 
-/// tech + elab: everything that determines the elaborated circuit. Kept as
-/// its own object so the warm-start compatibility prefix can hash it alone.
+/// tech + elab: everything that determines the elaborated circuit. Hashed
+/// alone into the key's `-e` segment, which keeps the key format of older
+/// disk caches.
 Json elab_canon(const core::FlowOptions& o) {
   Json j = Json::object();
   Json tech = Json::object();
@@ -135,8 +136,7 @@ CacheKey cache_key(const netlist::LogicNetlist& nl,
   const std::uint64_t nh = netlist::netlist_hash(nl);
   const std::uint64_t eh = netlist::fnv1a(elab_canon(options).dump());
   const std::uint64_t oh = netlist::fnv1a(canonical_options_json(options).dump());
-  key.warm_prefix = "n" + hex16(nh) + "-e" + hex16(eh);
-  key.key = key.warm_prefix + "-o" + hex16(oh);
+  key.key = "n" + hex16(nh) + "-e" + hex16(eh) + "-o" + hex16(oh);
   return key;
 }
 
@@ -230,8 +230,6 @@ void ResultCache::erase_locked(const std::string& key) {
   if (it == entries_.end()) return;
   bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru);
-  const auto warm = warm_index_.find(it->second.warm_prefix);
-  if (warm != warm_index_.end() && warm->second == key) warm_index_.erase(warm);
   for (const std::uint64_t cone : it->second.entry->eco.output_cones) {
     const auto po = po_index_.find(cone);
     if (po != po_index_.end() && po->second == key) po_index_.erase(po);
@@ -240,7 +238,6 @@ void ResultCache::erase_locked(const std::string& key) {
 }
 
 bool ResultCache::insert_locked(const std::string& key,
-                                const std::string& warm_prefix,
                                 std::shared_ptr<const CachedEntry> entry,
                                 std::vector<std::filesystem::path>* unlink) {
   const std::size_t bytes = entry_bytes(key, *entry);
@@ -252,9 +249,8 @@ bool ResultCache::insert_locked(const std::string& key,
   }
   erase_locked(key);  // overwrite: drop the old accounting first
   lru_.push_front(key);
-  entries_[key] = Slot{std::move(entry), bytes, warm_prefix, lru_.begin()};
+  entries_[key] = Slot{std::move(entry), bytes, lru_.begin()};
   bytes_ += bytes;
-  warm_index_[warm_prefix] = key;
   for (const std::uint64_t cone : entries_[key].entry->eco.output_cones) {
     po_index_[cone] = key;
   }
@@ -315,60 +311,46 @@ void ResultCache::store(const CacheKey& key, CachedEntry entry) {
   bool stored = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    stored = insert_locked(key.key, key.warm_prefix, shared, &unlink);
+    stored = insert_locked(key.key, shared, &unlink);
   }
   if (stored) persist(key.key, *shared);
   unlink_files(unlink);
 }
 
-std::shared_ptr<const CachedEntry> ResultCache::lookup_warm(const CacheKey& key) {
+std::shared_ptr<const CachedEntry> ResultCache::lookup_base(
+    const std::string& named, const std::vector<std::uint64_t>& output_cones,
+    const std::string& own_key, std::string* base_key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = warm_index_.find(key.warm_prefix);
-  if (it == warm_index_.end() || it->second == key.key) return nullptr;
-  const auto entry = entries_.find(it->second);
-  if (entry == entries_.end()) return nullptr;
-  ++warm_hits_;
-  return entry->second.entry;
-}
-
-std::shared_ptr<const CachedEntry> ResultCache::lookup_eco(
-    const std::vector<std::uint64_t>& output_cones,
-    const std::string& exclude_key, std::string* base_key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // One po_index_ probe per output cone; candidates collect votes and the
-  // most-shared base wins (smallest key on a tie, for determinism).
-  std::unordered_map<std::string, std::size_t> votes;
-  for (const std::uint64_t cone : output_cones) {
-    const auto it = po_index_.find(cone);
-    if (it != po_index_.end() && it->second != exclude_key) ++votes[it->second];
-  }
-  const std::string* best = nullptr;
-  std::size_t best_votes = 0;
-  for (const auto& [key, count] : votes) {
-    if (count > best_votes || (count == best_votes && best && key < *best)) {
-      best = &key;
-      best_votes = count;
+  std::shared_ptr<const CachedEntry> base;
+  std::string found;
+  if (!named.empty()) {
+    base = lookup_locked(named);
+    found = named;
+  } else {
+    // One po_index_ probe per output cone; candidates collect votes and the
+    // most-shared base wins (smallest key on a tie, for determinism).
+    std::unordered_map<std::string, std::size_t> votes;
+    for (const std::uint64_t cone : output_cones) {
+      const auto it = po_index_.find(cone);
+      if (it != po_index_.end() && it->second != own_key) ++votes[it->second];
+    }
+    std::size_t best_votes = 0;
+    for (const auto& [key, count] : votes) {
+      if (count > best_votes || (count == best_votes && key < found)) {
+        found = key;
+        best_votes = count;
+      }
+    }
+    const auto entry = entries_.find(found);
+    if (entry != entries_.end()) {
+      touch_locked(entry->second);
+      base = entry->second.entry;
     }
   }
-  if (!best) return nullptr;
-  const auto entry = entries_.find(*best);
-  if (entry == entries_.end()) return nullptr;
-  touch_locked(entry->second);
+  if (!base) return nullptr;
   ++eco_hits_;
-  if (base_key) *base_key = *best;
-  return entry->second.entry;
-}
-
-std::shared_ptr<const CachedEntry> ResultCache::lookup_eco_base(
-    const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto entry = lookup_locked(key);
-  if (entry) {
-    ++eco_hits_;
-  } else {
-    ++misses_;
-  }
-  return entry;
+  if (base_key) *base_key = found;
+  return base;
 }
 
 ResultCache::Acquire ResultCache::acquire(const CacheKey& key,
@@ -397,7 +379,7 @@ void ResultCache::publish(const CacheKey& key, CachedEntry entry) {
   bool stored = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    stored = insert_locked(key.key, key.warm_prefix, shared, &unlink);
+    stored = insert_locked(key.key, shared, &unlink);
     const auto it = in_flight_.find(key.key);
     if (it != in_flight_.end()) {
       followers = std::move(it->second);
@@ -435,16 +417,6 @@ std::size_t ResultCache::misses() const {
   return misses_;
 }
 
-std::size_t ResultCache::warm_hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return warm_hits_;
-}
-
-std::size_t ResultCache::eco_hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return eco_hits_;
-}
-
 std::size_t ResultCache::entries() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
@@ -472,7 +444,6 @@ CacheStats ResultCache::stats() const {
   s.bytes = bytes_;
   s.hits = hits_;
   s.misses = misses_;
-  s.warm_hits = warm_hits_;
   s.eco_hits = eco_hits_;
   s.evictions = evictions_;
   s.corrupt = corrupt_;
@@ -546,10 +517,7 @@ std::shared_ptr<const CachedEntry> ResultCache::load_from_disk(
     // Promote to memory within the budget (mutex_ held by caller). Reads
     // never unlink files: a promotion may evict other *memory* entries, and
     // an entry too big for the budget is served without being cached.
-    const auto dash_o = key.rfind("-o");
-    const std::string prefix =
-        dash_o == std::string::npos ? key : key.substr(0, dash_o);
-    insert_locked(key, prefix, shared, nullptr);
+    insert_locked(key, shared, nullptr);
     return shared;
   } catch (const std::exception& e) {
     quarantine_locked(path, key, e.what());

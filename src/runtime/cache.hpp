@@ -15,11 +15,11 @@
 //
 // A cached entry stores the completed job's report JSON (the
 // `lrsizer-batch-v1` job object, served back verbatim so cache hits are
-// byte-identical to the original run) plus the final sparse size vector.
-// The sizes double as warm-start seeds for *near-identical* jobs: same
-// netlist and same elaboration (same circuit), different bound/solver knobs
-// (lookup_warm; opt-in, because a warm-started run converges to an equally
-// valid but not bit-identical trajectory).
+// byte-identical to the original run), the final sparse size vector and a
+// per-net EcoIndex. The one near-miss path is lookup_base: a job that
+// misses its exact key may be seeded from a *base* entry — one a request
+// names, or (serve --eco) the one sharing the most output cones — through
+// eco::seed_from_index (docs/ECO.md).
 //
 // Completed entries are bounded by CacheLimits (LRU eviction over entry
 // count and accounted bytes, enforced in memory and — when disk-backed —
@@ -61,9 +61,6 @@ struct CacheKey {
   /// "n<netlist-hash>-e<elab-hash>-o<options-hash>" (16 hex digits each).
   /// The full cache key; also a valid portable file stem.
   std::string key;
-  /// "n<netlist-hash>-e<elab-hash>": the warm-start compatibility class —
-  /// same circuit after elaboration, any solver/bound options.
-  std::string warm_prefix;
 };
 
 /// Build the cache key for (netlist, options). O(netlist) hashing; no
@@ -130,16 +127,15 @@ struct CacheLimits {
 };
 
 /// Point-in-time cache counters (see the accessors below for semantics).
-/// Hit kinds are disjoint: `hits` counts exact-key answers only, while
-/// warm/eco reuse bumps its own counter — a request that misses the exact
-/// key but warm-starts still counts one `misses`.
+/// Hit kinds are disjoint: `hits` counts exact-key answers only, while a
+/// base found by lookup_base counts one `eco_hits` — a request that misses
+/// the exact key but is seeded still counts one `misses`.
 struct CacheStats {
   std::size_t entries = 0;    ///< completed entries currently held
   std::size_t bytes = 0;      ///< Σ accounted bytes of those entries
   std::size_t hits = 0;       ///< exact-key hits
   std::size_t misses = 0;
-  std::size_t warm_hits = 0;  ///< lookup_warm answers (same circuit, new knobs)
-  std::size_t eco_hits = 0;   ///< ECO base answers (lookup_eco/lookup_eco_base)
+  std::size_t eco_hits = 0;   ///< bases found by lookup_base
   std::size_t evictions = 0;  ///< entries removed (or rejected) for budget
   std::size_t corrupt = 0;    ///< disk entries quarantined to <key>.corrupt
 };
@@ -172,26 +168,17 @@ class ResultCache {
   /// Store a completed entry (and persist it when disk-backed). Overwrites.
   void store(const CacheKey& key, CachedEntry entry);
 
-  /// Most recent completed entry with the same warm prefix but a different
-  /// full key — a near-identical job whose sizes can warm-start this one.
-  /// nullptr when none is known (memory-resident index only). A successful
-  /// answer counts one `warm_hits`.
-  std::shared_ptr<const CachedEntry> lookup_warm(const CacheKey& key);
-
-  /// ECO near-miss probe: the completed entry (with a non-empty EcoIndex)
-  /// sharing the most output cones with `output_cones`, excluding
-  /// `exclude_key` (the request's own exact key, which lookup/acquire
-  /// already covers). Memory-resident index only; nullptr when no entry
-  /// shares a single cone. On success `*base_key` (if non-null) receives the
-  /// base entry's full key and one `eco_hits` is counted.
-  std::shared_ptr<const CachedEntry> lookup_eco(
-      const std::vector<std::uint64_t>& output_cones,
-      const std::string& exclude_key, std::string* base_key = nullptr);
-
-  /// Exact-key lookup for a client-named ECO base (`eco_base` in the serve
-  /// protocol): same search as lookup() but a success counts as an
-  /// `eco_hits`, not an exact hit — the entry seeds a different job.
-  std::shared_ptr<const CachedEntry> lookup_eco_base(const std::string& key);
+  /// Base entry to seed a job that missed its exact key `own_key` — the one
+  /// near-miss lookup. With a non-empty `named` key (a request's
+  /// `eco_base`): that entry, from memory and then disk. Otherwise the
+  /// memory-resident entry sharing the most of `output_cones` (smallest key
+  /// on a tie), excluding `own_key`; empty cones skip this probe. A found
+  /// base counts one `eco_hits` and, if `base_key` is non-null, its key is
+  /// written there. A miss counts nothing: the job's own lookup already
+  /// counted one.
+  std::shared_ptr<const CachedEntry> lookup_base(
+      const std::string& named, const std::vector<std::uint64_t>& output_cones,
+      const std::string& own_key, std::string* base_key = nullptr);
 
   // ---- in-flight dedupe ----------------------------------------------------
 
@@ -225,8 +212,6 @@ class ResultCache {
 
   std::size_t hits() const;    ///< lookup/acquire answered from a completed entry
   std::size_t misses() const;  ///< lookups that found nothing completed
-  std::size_t warm_hits() const;  ///< lookup_warm answers
-  std::size_t eco_hits() const;   ///< lookup_eco/lookup_eco_base answers
   std::size_t entries() const;    ///< completed entries currently held
   std::size_t bytes() const;      ///< Σ accounted bytes of those entries
   std::size_t evictions() const;  ///< entries evicted/rejected for budget
@@ -238,7 +223,6 @@ class ResultCache {
   struct Slot {
     std::shared_ptr<const CachedEntry> entry;
     std::size_t bytes = 0;
-    std::string warm_prefix;
     std::list<std::string>::iterator lru;  ///< position in lru_
   };
 
@@ -252,8 +236,7 @@ class ResultCache {
   /// returns false when the entry alone exceeds it (nothing stored). Disk
   /// files of evicted entries are appended to *unlink for removal after the
   /// lock is released.
-  bool insert_locked(const std::string& key, const std::string& warm_prefix,
-                     std::shared_ptr<const CachedEntry> entry,
+  bool insert_locked(const std::string& key, std::shared_ptr<const CachedEntry> entry,
                      std::vector<std::filesystem::path>* unlink);
   void erase_locked(const std::string& key);
   void touch_locked(Slot& slot);
@@ -266,16 +249,13 @@ class ResultCache {
   std::unordered_map<std::string, Slot> entries_;
   /// Completed keys, most recently used at the front.
   std::list<std::string> lru_;
-  /// warm_prefix -> full key of the most recently completed entry.
-  std::unordered_map<std::string, std::string> warm_index_;
   /// output cone hash -> full key of the most recently completed entry whose
-  /// EcoIndex fingerprint contains it (the lookup_eco vote table).
+  /// EcoIndex fingerprint contains it (lookup_base's vote table).
   std::unordered_map<std::uint64_t, std::string> po_index_;
   std::unordered_map<std::string, std::vector<FollowerFn>> in_flight_;
   std::size_t bytes_ = 0;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t warm_hits_ = 0;
   std::size_t eco_hits_ = 0;
   std::size_t evictions_ = 0;
   std::size_t corrupt_ = 0;

@@ -392,7 +392,6 @@ Json stats_json(const std::string& id, const StatsSnapshot& s) {
   cache.set("bytes", count(s.cache_bytes));
   cache.set("hits", count(s.cache_lookup_hits));
   cache.set("misses", count(s.cache_lookup_misses));
-  cache.set("warm_hits", count(s.cache_warm_hits));
   cache.set("eco_hits", count(s.cache_eco_hits));
   cache.set("hit_rate", cache_hit_rate(s));
   cache.set("evictions", count(s.cache_evictions));

@@ -121,7 +121,7 @@ runtime::Json cancelled_json(const std::string& id,
                              const runtime::Json* partial_job);
 
 /// Answer to a stats request: job counters, client/queue gauges, cache
-/// counters (exact/warm/eco hit kinds) + hit rate, and p50/p99 job latency
+/// counters (exact/eco hit kinds) + hit rate, and p50/p99 job latency
 /// derived from the obs latency histogram. `id` (may be empty) echoes the
 /// request's optional correlation id.
 runtime::Json stats_json(const std::string& id, const StatsSnapshot& snapshot);

@@ -138,17 +138,14 @@ void Server::register_metrics() {
                [this] { return static_cast<double>(cache_->stats().bytes); },
                this);
   // Disjoint hit kinds (docs/SERVING.md §Cache semantics): exact-key
-  // answers, warm-start seeds, ECO base seeds.
+  // answers, ECO base seeds.
   const char* cache_hits_help =
       "Result-cache lookups answered from a completed entry, by kind "
-      "(exact, warm, eco).";
+      "(exact, eco).";
   reg.counter_fn("lrsizer_cache_hits_total", cache_hits_help,
                  {{"kind", "exact"}},
                  [this] { return static_cast<double>(cache_->stats().hits); },
                  this);
-  reg.counter_fn(
-      "lrsizer_cache_hits_total", cache_hits_help, {{"kind", "warm"}},
-      [this] { return static_cast<double>(cache_->stats().warm_hits); }, this);
   reg.counter_fn(
       "lrsizer_cache_hits_total", cache_hits_help, {{"kind", "eco"}},
       [this] { return static_cast<double>(cache_->stats().eco_hits); }, this);
@@ -300,7 +297,6 @@ StatsSnapshot Server::stats_snapshot() const {
   s.cache_bytes = cache.bytes;
   s.cache_lookup_hits = cache.hits;
   s.cache_lookup_misses = cache.misses;
-  s.cache_warm_hits = cache.warm_hits;
   s.cache_eco_hits = cache.eco_hits;
   s.cache_evictions = cache.evictions;
   s.cache_corrupt = cache.corrupt;
@@ -622,42 +618,28 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
       case ResultCache::Acquire::kFollower:
         return;
       case ResultCache::Acquire::kOwner: {
-        runtime::BatchJob& job = pending->request.job;
         // ECO seeding: a named base wins; otherwise (with --eco) probe for
         // the cached entry sharing the most output cones. A named base that
         // is gone, or a base with nothing reusable, just runs cold.
-        if (pending->eco_base.empty()) {
-          std::shared_ptr<const CachedEntry> base;
-          std::string base_key = pending->request.eco_base;
-          if (!base_key.empty()) {
-            base = cache_->lookup_eco_base(base_key);
-          } else if (options_.eco) {
-            base = cache_->lookup_eco(netlist::output_cone_hashes(job.netlist),
-                                      pending->key.key, &base_key);
-          }
-          if (base && !base->eco.empty()) {
-            eco::EcoSeed seed =
-                eco::seed_from_index(job.netlist, job.options, base->eco);
-            if (!seed.empty()) {
-              pending->eco_base = base_key;
-              pending->eco_reused_nodes = seed.reused_nodes;
-              pending->eco_dirty_gates = seed.dirty_gates;
-              job.warm_sizes = std::move(seed.sizes);
-              job.eco_warm = std::move(seed.multipliers);
-              eco_jobs_total_->inc();
-              eco_reused_nodes_total_->inc(
-                  static_cast<std::uint64_t>(seed.reused_nodes));
-              eco_dirty_gates_total_->inc(
-                  static_cast<std::uint64_t>(seed.dirty_gates));
-            }
-          }
-        }
-        if (pending->eco_base.empty() && options_.cache_warm &&
-            job.warm_sizes.empty()) {
-          if (const auto warm = cache_->lookup_warm(pending->key)) {
-            job.warm_sizes = warm->sizes;
-          }
-        }
+        const std::string& named = pending->request.eco_base;
+        if (named.empty() && !options_.eco) break;
+        runtime::BatchJob& job = pending->request.job;
+        std::vector<std::uint64_t> cones;
+        if (named.empty()) cones = netlist::output_cone_hashes(job.netlist);
+        std::string base_key;
+        const auto base =
+            cache_->lookup_base(named, cones, pending->key.key, &base_key);
+        if (!base || base->eco.empty()) break;
+        eco::EcoSeed seed = eco::seed_from_index(job.netlist, job.options, base->eco);
+        if (seed.empty()) break;
+        pending->eco_base = base_key;
+        pending->eco_reused_nodes = seed.reused_nodes;
+        pending->eco_dirty_gates = seed.dirty_gates;
+        job.warm_sizes = std::move(seed.sizes);
+        job.eco_warm = std::move(seed.multipliers);
+        eco_jobs_total_->inc();
+        eco_reused_nodes_total_->inc(static_cast<std::uint64_t>(seed.reused_nodes));
+        eco_dirty_gates_total_->inc(static_cast<std::uint64_t>(seed.dirty_gates));
         break;
       }
     }
@@ -714,12 +696,15 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
     }
     std::optional<Json> trace_doc;
     if (trace) trace_doc = Json::parse(trace->dump_json());
-    emit(pending->client,
-         result_json(pending->request.id, false, entry.job,
-                     pending->request.want_sizes ? &entry.sizes : nullptr,
-                     trace_doc ? &*trace_doc : nullptr));
-    results_total_->inc();
+    const Json response =
+        result_json(pending->request.id, false, entry.job,
+                    pending->request.want_sizes ? &entry.sizes : nullptr,
+                    trace_doc ? &*trace_doc : nullptr);
+    // Publish before emitting: a client that reacts to this line at once
+    // (an exact repeat, an ECO edit naming this key) must find the entry.
     if (pending->cacheable) cache_->publish(pending->key, std::move(entry));
+    emit(pending->client, response);
+    results_total_->inc();
   } else if (outcome.cancelled) {
     if (pending->cacheable) cache_->abandon(pending->key);
     if (pending->timed_out.load(std::memory_order_acquire)) {

@@ -76,16 +76,12 @@ struct ServerOptions {
   /// Budget for the owned cache (ignored when `cache` is supplied — a
   /// borrowed cache brings its own limits).
   runtime::CacheLimits cache_limits;
-  /// On a cache miss, warm-start from a cached result with the same
-  /// netlist + elaboration but different solver/bound options (see
-  /// BatchOptions::cache_warm for the determinism trade-off).
-  bool cache_warm = false;
   /// On a cache miss, ECO warm-start from the cached base sharing the most
-  /// output cones with the request's netlist (ResultCache::lookup_eco),
+  /// output cones with the request's netlist (ResultCache::lookup_base),
   /// seeding clean-net sizes and — when the circuit shape matches — the
   /// multiplier state (docs/ECO.md). A request naming "eco_base" uses its
-  /// named base regardless of this flag. Same determinism trade-off as
-  /// cache_warm: the seeded run is not bit-identical to a cold run.
+  /// named base regardless of this flag. The seeded run is not
+  /// bit-identical to a cold run.
   bool eco = false;
   /// Backpressure: with > 0, a size request arriving while this many jobs
   /// are already accepted-but-unfinished is rejected with an `overloaded`

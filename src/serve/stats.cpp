@@ -69,10 +69,10 @@ std::string format_stats_text(const StatsSnapshot& s) {
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "  cache: entries=%zu bytes=%zu hits=%zu misses=%zu "
-                "warm_hits=%zu eco_hits=%zu hit_rate=%.3f evictions=%zu "
+                "eco_hits=%zu hit_rate=%.3f evictions=%zu "
                 "corrupt=%zu mode=%s\n",
                 s.cache_entries, s.cache_bytes, s.cache_lookup_hits,
-                s.cache_lookup_misses, s.cache_warm_hits, s.cache_eco_hits,
+                s.cache_lookup_misses, s.cache_eco_hits,
                 cache_hit_rate(s), s.cache_evictions, s.cache_corrupt,
                 s.cache_disk ? "disk" : "memory");
   out += buf;

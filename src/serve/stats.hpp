@@ -46,12 +46,11 @@ struct StatsSnapshot {
   std::size_t queue_depth = 0;     ///< jobs accepted but not yet terminal
   std::size_t active_clients = 0;  ///< connected clients
   // Result-cache counters (runtime::ResultCache::stats()). Hit kinds are
-  // disjoint: exact / warm / eco (docs/SERVING.md §Cache semantics).
+  // disjoint: exact / eco (docs/SERVING.md §Cache semantics).
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
   std::size_t cache_lookup_hits = 0;    ///< exact-key hits
   std::size_t cache_lookup_misses = 0;
-  std::size_t cache_warm_hits = 0;      ///< lookup_warm answers
   std::size_t cache_eco_hits = 0;       ///< ECO base answers
   std::size_t cache_evictions = 0;
   std::size_t cache_corrupt = 0;  ///< disk entries quarantined as corrupt (v3)
@@ -64,7 +63,7 @@ struct StatsSnapshot {
 };
 
 /// Cache hit rate over completed lookups, in [0, 1] (0 when none yet).
-/// Exact hits only — warm/eco reuse still runs the flow, so it is not a
+/// Exact hits only — eco reuse still runs the flow, so it is not a
 /// "hit" in the answered-without-running sense.
 double cache_hit_rate(const StatsSnapshot& snapshot);
 

@@ -20,6 +20,7 @@
 #include "netlist/generator.hpp"
 #include "netlist/iscas_profiles.hpp"
 #include "netlist/levels.hpp"
+#include "runtime/batch.hpp"
 #include "runtime/pool.hpp"
 #include "timing/arrival.hpp"
 #include "timing/loads.hpp"
@@ -444,7 +445,8 @@ TEST(ParallelFlow, WarmStartBitIdenticalAcrossThreads) {
     auto warm_options = options;
     warm_options.threads = threads;
     api::SizingSession session(netlist, warm_options);
-    EXPECT_TRUE(session.warm_start_from(prior).ok());
+    EXPECT_TRUE(
+        session.warm_start(runtime::sparse_sizes(prior), prior.ogws.warm).ok());
     EXPECT_TRUE(session.run_all().ok());
     return session.take_result();
   };

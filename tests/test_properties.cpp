@@ -149,6 +149,13 @@ struct TruncCase {
   int k;
 };
 
+// Names each case by value. Without it gtest prints the raw bytes of the
+// struct, tail padding included, and that padding is uninitialised, so the
+// discovered test names changed from build to build.
+void PrintTo(const TruncCase& c, std::ostream* os) {
+  *os << "u=" << c.u << ",k=" << c.k;
+}
+
 class TruncationProperty : public ::testing::TestWithParam<TruncCase> {};
 
 TEST_P(TruncationProperty, ErrorRatioIsUToTheK) {

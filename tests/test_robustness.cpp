@@ -312,7 +312,7 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
 TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
   FaultGuard guard;
   ScratchDir dir("roundtrip");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const runtime::CacheKey key{"nA-eB-o1"};
   {
     runtime::ResultCache cache(dir.path.string());
     cache.store(key, make_entry("keep"));
@@ -348,7 +348,7 @@ TEST(CacheIntegrity, ChecksummedEntriesRoundTripAndOldFilesStillLoad) {
 TEST(CacheIntegrity, BitRotFailsTheChecksumAndQuarantinesTheFile) {
   FaultGuard guard;
   ScratchDir dir("bitrot");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const runtime::CacheKey key{"nA-eB-o1"};
   {
     runtime::ResultCache cache(dir.path.string());
     cache.store(key, make_entry("truth"));
@@ -381,7 +381,7 @@ TEST(CacheIntegrity, BitRotFailsTheChecksumAndQuarantinesTheFile) {
 TEST(CacheIntegrity, TornRenameIsQuarantinedOnTheNextRead) {
   FaultGuard guard;
   ScratchDir dir("torn");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const runtime::CacheKey key{"nA-eB-o1"};
   ASSERT_TRUE(fault::arm("cache.rename:always"));
   {
     runtime::ResultCache cache(dir.path.string());
@@ -401,7 +401,7 @@ TEST(CacheIntegrity, TornRenameIsQuarantinedOnTheNextRead) {
 TEST(CacheIntegrity, WriteFailureSkipsPersistenceWithoutFailingTheStore) {
   FaultGuard guard;
   ScratchDir dir("enospc");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const runtime::CacheKey key{"nA-eB-o1"};
   ASSERT_TRUE(fault::arm("cache.write:always"));
   runtime::ResultCache cache(dir.path.string());
   cache.store(key, make_entry("lost"));  // disk full: entry not persisted
@@ -419,7 +419,7 @@ TEST(CacheIntegrity, WriteFailureSkipsPersistenceWithoutFailingTheStore) {
 TEST(CacheIntegrity, TruncatedReadIsQuarantined) {
   FaultGuard guard;
   ScratchDir dir("shortread");
-  const runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  const runtime::CacheKey key{"nA-eB-o1"};
   {
     runtime::ResultCache cache(dir.path.string());
     cache.store(key, make_entry("whole"));

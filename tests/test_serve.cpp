@@ -104,13 +104,10 @@ TEST(CacheKey, AnyOtherOptionInvalidatesTheKey) {
   tweaked.bound_factors.noise = 0.17;
   const auto other = runtime::cache_key(nl, tweaked);
   EXPECT_NE(base.key, other.key);
-  // Same circuit, different solver/bound knobs: same warm-start class.
-  EXPECT_EQ(base.warm_prefix, other.warm_prefix);
 
   core::FlowOptions reelab = fast_options();
   reelab.elab.seed = 99;
-  // A different elaboration is a different circuit: new warm class too.
-  EXPECT_NE(runtime::cache_key(nl, reelab).warm_prefix, base.warm_prefix);
+  EXPECT_NE(runtime::cache_key(nl, reelab).key, base.key);
 }
 
 // ---- ResultCache ------------------------------------------------------------
@@ -123,11 +120,9 @@ runtime::CachedEntry make_entry(const std::string& marker) {
   return entry;
 }
 
-TEST(ResultCache, StoreLookupAndWarmLookup) {
+TEST(ResultCache, StoreAndLookup) {
   runtime::ResultCache cache;
-  runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
-  runtime::CacheKey sibling{"nA-eB-o2", "nA-eB"};
-  runtime::CacheKey stranger{"nC-eD-o1", "nC-eD"};
+  runtime::CacheKey key{"nA-eB-o1"};
 
   EXPECT_EQ(cache.lookup(key.key), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
@@ -137,18 +132,15 @@ TEST(ResultCache, StoreLookupAndWarmLookup) {
   EXPECT_EQ(hit->job.at("name").as_string(), "first");
   EXPECT_EQ(hit->sizes.size(), 2u);
   EXPECT_EQ(cache.hits(), 1u);
-
-  // Warm lookup: a *different* key in the same class finds it; the same
-  // key and an unrelated class do not.
-  ASSERT_NE(cache.lookup_warm(sibling), nullptr);
-  EXPECT_EQ(cache.lookup_warm(key), nullptr);
-  EXPECT_EQ(cache.lookup_warm(stranger), nullptr);
+  // Another options hash of the same circuit is a plain miss.
+  EXPECT_EQ(cache.lookup("nA-eB-o2"), nullptr);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 TEST(ResultCache, EcoLookupsVoteOnConeOverlapAndCountAsEcoHits) {
   runtime::ResultCache cache;
-  runtime::CacheKey k1{"nA-eB-o1", "nA-eB"};
-  runtime::CacheKey k2{"nC-eD-o1", "nC-eD"};
+  runtime::CacheKey k1{"nA-eB-o1"};
+  runtime::CacheKey k2{"nC-eD-o1"};
   auto with_cones = [](const std::string& marker,
                        std::vector<std::uint64_t> cones) {
     runtime::CachedEntry entry = make_entry(marker);
@@ -161,29 +153,32 @@ TEST(ResultCache, EcoLookupsVoteOnConeOverlapAndCountAsEcoHits) {
 
   // The near-miss probe picks the entry sharing the most output cones.
   std::string base_key;
-  auto base = cache.lookup_eco({10, 20, 31}, "", &base_key);
+  auto base = cache.lookup_base("", {10, 20, 31}, "", &base_key);
   ASSERT_NE(base, nullptr);
   EXPECT_EQ(base->job.at("name").as_string(), "one");
   EXPECT_EQ(base_key, k1.key);
   // Excluding the winner (the request's own key) falls back to the runner-up.
-  base = cache.lookup_eco({10, 20, 31}, k1.key, &base_key);
+  base = cache.lookup_base("", {10, 20, 31}, k1.key, &base_key);
   ASSERT_NE(base, nullptr);
   EXPECT_EQ(base_key, k2.key);
   // No shared cone at all: no base.
-  EXPECT_EQ(cache.lookup_eco({7, 8}, "", nullptr), nullptr);
+  EXPECT_EQ(cache.lookup_base("", {7, 8}, ""), nullptr);
 
-  // A client-named base resolves by exact key but counts as an ECO hit,
-  // not an exact hit — the hit kinds stay disjoint.
-  ASSERT_NE(cache.lookup_eco_base(k1.key), nullptr);
-  EXPECT_EQ(cache.lookup_eco_base("nZ-eZ-o9"), nullptr);
+  // A client-named base resolves by exact key — and wins over the cones —
+  // but counts as an ECO hit, not an exact hit: the hit kinds stay
+  // disjoint. A named base that is gone counts nothing.
+  base = cache.lookup_base(k2.key, {10, 20, 30}, "", &base_key);
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(base_key, k2.key);
+  EXPECT_EQ(cache.lookup_base("nZ-eZ-o9", {10, 20, 30}, ""), nullptr);
   EXPECT_EQ(cache.stats().eco_hits, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 TEST(ResultCache, InFlightDedupePublishAndAbandon) {
   runtime::ResultCache cache;
-  runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  runtime::CacheKey key{"nA-eB-o1"};
 
   std::shared_ptr<const runtime::CachedEntry> hit;
   EXPECT_EQ(cache.acquire(key, &hit, nullptr),
@@ -212,7 +207,7 @@ TEST(ResultCache, InFlightDedupePublishAndAbandon) {
 
   // Abandon path: follower of a failed owner is woken with nullptr so it
   // can re-run (and becomes the new owner on re-acquire).
-  runtime::CacheKey other{"nA-eB-o9", "nA-eB"};
+  runtime::CacheKey other{"nA-eB-o9"};
   EXPECT_EQ(cache.acquire(other, &hit, nullptr),
             runtime::ResultCache::Acquire::kOwner);
   seen.clear();
@@ -229,7 +224,7 @@ TEST(ResultCache, DiskEntriesSurviveAcrossInstances) {
   const auto dir =
       std::filesystem::temp_directory_path() / "lrsizer_cache_test";
   std::filesystem::remove_all(dir);
-  runtime::CacheKey key{"nA-eB-o1", "nA-eB"};
+  runtime::CacheKey key{"nA-eB-o1"};
   {
     runtime::ResultCache cache(dir.string());
     cache.store(key, make_entry("persisted"));
@@ -256,9 +251,9 @@ TEST(CacheEviction, LruEvictsOldestFirstAndLookupRefreshes) {
   runtime::CacheLimits limits;
   limits.max_entries = 2;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
-  runtime::CacheKey k3{"nC-eC-o1", "nC-eC"};
+  runtime::CacheKey k1{"nA-eA-o1"};
+  runtime::CacheKey k2{"nB-eB-o1"};
+  runtime::CacheKey k3{"nC-eC-o1"};
   cache.store(k1, make_entry("one"));
   cache.store(k2, make_entry("two"));
   EXPECT_EQ(cache.entries(), 2u);
@@ -276,7 +271,7 @@ TEST(CacheEviction, MaxEntriesZeroStoresNothingButStillDedupes) {
   runtime::CacheLimits limits;
   limits.max_entries = 0;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey key{"nA-eA-o1", "nA-eA"};
+  runtime::CacheKey key{"nA-eA-o1"};
   cache.store(key, make_entry("rejected"));
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
@@ -309,8 +304,8 @@ TEST(CacheEviction, MaxEntriesOneKeepsOnlyTheNewest) {
   runtime::CacheLimits limits;
   limits.max_entries = 1;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
+  runtime::CacheKey k1{"nA-eA-o1"};
+  runtime::CacheKey k2{"nB-eB-o1"};
   cache.store(k1, make_entry("one"));
   cache.store(k2, make_entry("two"));
   EXPECT_EQ(cache.entries(), 1u);
@@ -323,9 +318,9 @@ TEST(CacheEviction, ByteBudgetEvictsOldestFirstAndRejectsOversized) {
   // Calibrate one entry's accounted bytes with an unlimited cache (the
   // accounting covers key + serialized job + size pairs, so it is the same
   // for the equal-length keys below).
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
-  runtime::CacheKey k3{"nC-eC-o1", "nC-eC"};
+  runtime::CacheKey k1{"nA-eA-o1"};
+  runtime::CacheKey k2{"nB-eB-o1"};
+  runtime::CacheKey k3{"nC-eC-o1"};
   std::size_t per_entry = 0;
   {
     runtime::ResultCache probe;
@@ -362,9 +357,9 @@ TEST(CacheEviction, InFlightRegistrationsSurviveEvictionPressure) {
   runtime::CacheLimits limits;
   limits.max_entries = 1;
   runtime::ResultCache cache("", limits);
-  runtime::CacheKey inflight{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
-  runtime::CacheKey k3{"nC-eC-o1", "nC-eC"};
+  runtime::CacheKey inflight{"nA-eA-o1"};
+  runtime::CacheKey k2{"nB-eB-o1"};
+  runtime::CacheKey k3{"nC-eC-o1"};
 
   std::shared_ptr<const runtime::CachedEntry> hit;
   ASSERT_EQ(cache.acquire(inflight, &hit, nullptr),
@@ -395,8 +390,8 @@ TEST(CacheEviction, DiskEvictionRemovesFilesAndARestartSeesAMiss) {
   const auto dir =
       std::filesystem::temp_directory_path() / "lrsizer_cache_evict_test";
   std::filesystem::remove_all(dir);
-  runtime::CacheKey k1{"nA-eA-o1", "nA-eA"};
-  runtime::CacheKey k2{"nB-eB-o1", "nB-eB"};
+  runtime::CacheKey k1{"nA-eA-o1"};
+  runtime::CacheKey k2{"nB-eB-o1"};
   {
     runtime::CacheLimits limits;
     limits.max_entries = 1;
@@ -907,7 +902,58 @@ TEST(Server, EcoBaseSeedsFromTheNamedBaseAndRepeatsAreByteIdentical) {
   EXPECT_EQ(stats[0].at("jobs").at("cache_hits").as_number(), 1.0);
   EXPECT_EQ(stats[0].at("cache").at("hits").as_number(), 1.0);
   EXPECT_EQ(stats[0].at("cache").at("eco_hits").as_number(), 1.0);
-  EXPECT_EQ(stats[0].at("cache").at("warm_hits").as_number(), 0.0);
+}
+
+TEST(Server, ResultIsPublishedBeforeItsLineIsEmitted) {
+  // A client that reacts to a result line at once (an exact repeat, an ECO
+  // edit naming the key) must find the entry: the sink looks the key up
+  // the moment the line arrives.
+  runtime::ResultCache cache;
+  std::mutex mutex;
+  std::string key;
+  std::vector<bool> visible;
+  serve::ServerOptions options;
+  options.jobs = 1;
+  options.cache = &cache;
+  serve::Server server(options, [&](const std::string& line) {
+    const Json response = Json::parse(line);
+    const std::string type = response.at("type").as_string();
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (type == "accepted") key = response.at("key").as_string();
+    if (type == "result") visible.push_back(cache.lookup(key) != nullptr);
+  });
+  ASSERT_TRUE(server.handle_line(size_request("a", "c17")));
+  server.drain();
+  const std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_FALSE(key.empty());
+  EXPECT_EQ(visible, std::vector<bool>{true});
+}
+
+TEST(Server, EveryCacheableRequestCountsOneLookup) {
+  // hits + misses == cacheable size requests, including one that names an
+  // ECO base the cache does not hold: the base lookup adds no miss of its
+  // own on top of the request's exact-key miss.
+  Collector collector;
+  serve::ServerOptions options;
+  options.jobs = 1;
+  serve::Server server(options, collector.sink());
+  for (const std::string& line :
+       {size_request("a", "c17"), size_request("b", "c17"),
+        size_request("c", "c17",
+                     R"(,"seed":5,"eco_base":"n0000000000000000-e0-o0")"),
+        size_request("d", "c17", R"(,"seed":9)")}) {
+    ASSERT_TRUE(server.handle_line(line));
+    server.drain();
+  }
+  ASSERT_TRUE(server.handle_line(R"({"type":"stats","id":"s"})"));
+  server.drain();
+  const auto stats = collector.of_type("stats");
+  ASSERT_EQ(stats.size(), 1u);
+  const Json& cache = stats[0].at("cache");
+  EXPECT_EQ(cache.at("hits").as_number() + cache.at("misses").as_number(), 4.0);
+  EXPECT_EQ(cache.at("hits").as_number(), 1.0);
+  EXPECT_EQ(cache.at("eco_hits").as_number(), 0.0);
+  EXPECT_EQ(collector.of_type("result").size(), 4u);
 }
 
 TEST(Server, CancelMidJobYieldsACancelledResponse) {

@@ -13,6 +13,7 @@
 #include "core/flow.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generator.hpp"
+#include "runtime/batch.hpp"
 
 namespace {
 
@@ -262,6 +263,12 @@ TEST(Session, PreCancelledTokenStopsAtTheStageBoundary) {
 
 // ---- warm start -------------------------------------------------------------
 
+/// Seed `session` with a prior result: its final sizes plus its best-dual
+/// multipliers.
+api::Status seed_with(api::SizingSession& session, const core::FlowResult& prior) {
+  return session.warm_start(runtime::sparse_sizes(prior), prior.ogws.warm);
+}
+
 TEST(Session, WarmStartReconvergesWithinTwoIterations) {
   const auto logic = c17();
   api::SizingSession cold(logic, c17_options());
@@ -270,7 +277,7 @@ TEST(Session, WarmStartReconvergesWithinTwoIterations) {
   ASSERT_GT(cold.summary().iterations, 2);  // the speedup is meaningful
 
   api::SizingSession warm(logic, c17_options());
-  ASSERT_TRUE(warm.warm_start_from(cold.result()).ok());
+  ASSERT_TRUE(seed_with(warm, cold.result()).ok());
   ASSERT_TRUE(warm.run_all().ok());
 
   const core::FlowSummary rerun = warm.summary();
@@ -292,7 +299,7 @@ TEST(Session, WarmStartSurvivesAnOptionsTweak) {
   core::FlowOptions tweaked;
   tweaked.bound_factors.noise = 0.12;
   api::SizingSession warm(logic, tweaked);
-  ASSERT_TRUE(warm.warm_start_from(cold.result()).ok());
+  ASSERT_TRUE(seed_with(warm, cold.result()).ok());
   ASSERT_TRUE(warm.run_all().ok());
   EXPECT_GT(warm.summary().final_metrics.area_um2, 0.0);
   EXPECT_LE(warm.summary().max_violation, 0.05);
@@ -303,7 +310,7 @@ TEST(Session, WarmStartFromMismatchedCircuitIsRejected) {
   ASSERT_TRUE(donor.run_all().ok());
 
   api::SizingSession session(c17(), c17_options());
-  ASSERT_TRUE(session.warm_start_from(donor.result()).ok());  // defers validation
+  ASSERT_TRUE(seed_with(session, donor.result()).ok());  // defers validation
   ASSERT_TRUE(session.elaborate().ok());
   ASSERT_TRUE(session.simulate_and_order().ok());
   ASSERT_TRUE(session.derive_bounds().ok());
@@ -327,17 +334,37 @@ TEST(Session, SparseWarmSizesSeedTheRun) {
   }
 
   api::SizingSession warm(logic, c17_options());
-  ASSERT_TRUE(warm.warm_start_sizes(entries).ok());
+  ASSERT_TRUE(warm.warm_start(entries).ok());
   ASSERT_TRUE(warm.run_all().ok());
   // Sizes-only warm start (no multipliers) still cuts the iteration count.
   EXPECT_LT(warm.summary().iterations, cold.summary().iterations);
 
   // Out-of-range node ids are rejected with the offending id named.
   api::SizingSession bad(logic, c17_options());
-  ASSERT_TRUE(bad.warm_start_sizes({{99999, 1.0}}).ok());
+  ASSERT_TRUE(bad.warm_start({{99999, 1.0}}).ok());
   const api::Status status = bad.run_all();
   EXPECT_EQ(status.code(), api::StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("99999"), std::string::npos);
+}
+
+TEST(Session, EmptyWarmStartIsAColdStartAndASecondSeedIsRejected) {
+  const auto logic = c17();
+  api::SizingSession cold(logic, c17_options());
+  ASSERT_TRUE(cold.run_all().ok());
+
+  api::SizingSession seeded(logic, c17_options());
+  ASSERT_TRUE(seeded.warm_start({}, {}).ok());  // nothing to seed: cold
+  ASSERT_TRUE(seeded.warm_start({{0, 1.0}}).ok());
+  const api::Status again = seeded.warm_start({{0, 1.0}});
+  EXPECT_EQ(again.code(), api::StatusCode::kFailedPrecondition);
+
+  api::SizingSession empty(logic, c17_options());
+  ASSERT_TRUE(empty.warm_start({}).ok());
+  ASSERT_TRUE(empty.run_all().ok());
+  EXPECT_EQ(empty.result().ogws.sizes, cold.result().ogws.sizes);
+  EXPECT_EQ(empty.summary().iterations, cold.summary().iterations);
+  EXPECT_EQ(empty.warm_start({{0, 1.0}}).code(),
+            api::StatusCode::kFailedPrecondition);  // after size()
 }
 
 // ---- shim -------------------------------------------------------------------
@@ -348,7 +375,7 @@ TEST(Session, ShimSummaryCarriesNoCancellation) {
   EXPECT_FALSE(core::summarize_flow(flow).cancelled);
   // The shim's result feeds warm starts like any session result.
   api::SizingSession warm(c17(), c17_options());
-  EXPECT_TRUE(warm.warm_start_from(flow).ok());
+  EXPECT_TRUE(seed_with(warm, flow).ok());
 }
 
 }  // namespace

@@ -8,7 +8,8 @@ Matches rows by (kernel, threads) and reports the ns/op delta for each;
 exits 1 when any kernel regressed by more than --threshold percent (default
 10). Rows present in only one file are listed but never fail the diff (new
 kernels appear, old ones retire). The redundancy block is compared the same
-way via its fused ns.
+way via its fused ns. Files from hosts with different
+`hardware_concurrency` are refused (exit 2): their rows are not comparable.
 
 --metrics restricts the comparison to kernels matching any of the given
 comma-separated glob patterns (e.g. `--metrics ogws_iteration` or
@@ -66,6 +67,13 @@ def main():
           f"profile {base_doc.get('profile', '?')})")
     print(f"candidate {args.candidate} (git {cand_doc.get('git_sha', '?')}, "
           f"profile {cand_doc.get('profile', '?')})")
+    base_hw = base_doc.get("hardware_concurrency")
+    cand_hw = cand_doc.get("hardware_concurrency")
+    if base_hw != cand_hw:
+        print(f"refusing to compare: hardware_concurrency {base_hw} vs "
+              f"{cand_hw} — rows from different hosts are not comparable",
+              file=sys.stderr)
+        return 2
     if base_doc.get("profile") != cand_doc.get("profile"):
         print("warning: different profiles — deltas are not comparable",
               file=sys.stderr)

@@ -110,14 +110,14 @@ options:
                     DIR and answer identical jobs from there (run/batch/
                     sweep/serve); without it batch/serve still dedupe
                     in-memory
-  --cache-warm      on a cache miss, warm-start from a cached result with
-                    the same circuit but different bounds/solver options
-                    (faster, but not bit-identical to a cold run)
+  --cache-warm      deprecated and ignored (a sizes-only seed from the
+                    same circuit re-converged like a cold run); accepted
+                    with a note on stderr
   --eco             (serve) on a cache miss, ECO warm-start from the cached
                     base sharing the most output cones with the request
-                    (docs/ECO.md; same determinism trade-off as
-                    --cache-warm). Requests naming "eco_base" use their
-                    named base even without this flag.
+                    (docs/ECO.md; faster, but not bit-identical to a cold
+                    run). Requests naming "eco_base" use their named base
+                    even without this flag.
   --cache-max-entries N  keep at most N completed results in the cache,
                     LRU-evicted (and unlinked from --cache-dir); 0 disables
                     result storage (default: unlimited)
@@ -203,7 +203,6 @@ struct CliOptions {
   std::int64_t max_queue_cost = 0;
   std::int64_t default_deadline_ms = 0;
   std::vector<std::string> fault_specs;
-  bool cache_warm = false;
   bool eco = false;
   bool stats_dump = false;
   double buffer_long_wires = 0.0;  ///< threshold in um; 0 = pre-pass off
@@ -311,7 +310,9 @@ CliOptions parse_args(int argc, char** argv) {
       }
     }
     else if (arg == "--cache-dir") cli.cache_dir = next_value(i);
-    else if (arg == "--cache-warm") cli.cache_warm = true;
+    else if (arg == "--cache-warm") {
+      std::fprintf(stderr, "lrsizer: --cache-warm is deprecated and ignored\n");
+    }
     else if (arg == "--eco") cli.eco = true;
     else if (arg == "--buffer-long-wires") {
       // The threshold is optional: consume the next token only when it
@@ -483,7 +484,6 @@ runtime::BatchOptions make_batch_options(const CliOptions& cli, int jobs,
   options.jobs = jobs;
   options.stop = g_stop.get_token();
   options.cache = cache;
-  options.cache_warm = cli.cache_warm;
   options.trace = trace;
   if (cli.progress) {
     options.observer = [](const std::string& job, const core::OgwsIterate& it) {
@@ -845,7 +845,6 @@ int cmd_serve(const CliOptions& cli) {
   options.jobs = cli.jobs > 0 ? cli.jobs : std::max(1, hw / threads);
   options.base_options = flow_options(cli);
   options.cache = &cache;
-  options.cache_warm = cli.cache_warm;
   options.eco = cli.eco;
   options.max_pending = cli.max_pending;
   options.max_pending_per_client = cli.max_pending_per_client;
