@@ -6,16 +6,22 @@
 //   G10 = NAND(G1, G3)
 //   G11 = NOT(G10)
 //
-// Supported ops: AND, NAND, OR, NOR, NOT, BUF/BUFF, XOR, XNOR. Forward
-// references are resolved (the format does not require definition order).
-// Errors (unknown op, undefined signal, double definition, syntax) raise
-// BenchParseError with a line number.
+// Supported ops: AND, NAND, OR, NOR, NOT/INV, BUF/BUFF, XOR, XNOR; keywords
+// and ops match case-insensitively. A declaration is INPUT or OUTPUT,
+// optional blanks, then '(' on a line without '=' — `inputx = NOT(a)` is a
+// gate. Forward references are resolved (the format does not require
+// definition order). Errors (unknown op, undefined signal, double
+// definition, syntax) raise BenchParseError with a line number.
+//
+// The reader is one pass over the text, linear in its size: names stay
+// views into the text until the netlist copies them.
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,11 +41,13 @@ class BenchParseError : public std::runtime_error {
   int line_;
 };
 
-/// Parse a `.bench` stream into a finalized LogicNetlist.
+/// Parse a `.bench` stream into a finalized LogicNetlist (reads the stream
+/// whole, then parses it as text).
 LogicNetlist parse_bench(std::istream& in);
 
-/// Convenience overload for in-memory text (tests, embedded circuits).
-LogicNetlist parse_bench_string(const std::string& text);
+/// Parse in-memory `.bench` text (request payloads, tests, embedded
+/// circuits) without copying it.
+LogicNetlist parse_bench_string(std::string_view text);
 
 /// Read the `# size <node> <kind> <net> <value>` annotation comments that
 /// bench_writer/the CLI append to sized outputs. Returns (circuit NodeId,

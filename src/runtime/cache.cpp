@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -153,21 +154,11 @@ std::size_t entry_bytes(const std::string& key, const CachedEntry& entry) {
   return key.size() + entry.job.dump().size() + 16 * entry.sizes.size() + eco;
 }
 
-/// The "sizes" array of a persisted entry: [[node, size], ...].
-Json sizes_json(const CachedEntry& entry) {
-  Json sizes = Json::array();
-  for (const auto& [node, size] : entry.sizes) {
-    Json pair = Json::array();
-    pair.push_back(static_cast<std::int64_t>(node));
-    pair.push_back(size);
-    sizes.push_back(pair);
-  }
-  return sizes;
-}
-
-/// The "eco" object of a persisted entry. Cone hashes are 64-bit and
-/// therefore serialized as 16-hex-digit strings.
-Json eco_json(const EcoIndex& index) {
+/// The "eco" object of a persisted entry, none when the entry has no ECO
+/// index. Cone hashes are 64-bit and therefore serialized as 16-hex-digit
+/// strings.
+std::optional<Json> eco_json(const EcoIndex& index) {
+  if (index.empty()) return std::nullopt;
   Json eco = Json::object();
   Json nets = Json::array();
   for (const EcoIndex::Net& net : index.nets) {
@@ -199,19 +190,23 @@ Json eco_json(const EcoIndex& index) {
 }
 
 /// Integrity checksum of a persisted entry: fnv1a over the key and the
-/// canonical serialization of the payload pieces. Json numbers dump with
-/// shortest-round-trip formatting, so rebuilding the pieces from a parsed
-/// file reproduces the stored bytes exactly — a load-side recompute matches
-/// iff the payload survived the disk intact.
-std::string entry_checksum(const std::string& key, const CachedEntry& entry) {
+/// canonical serialization of the payload pieces (the "sizes" array is
+/// [[node, size], ...]; `eco` is eco_json(entry.eco)). Json numbers dump with shortest-round-trip formatting, so
+/// rebuilding the pieces from a parsed file reproduces the stored bytes
+/// exactly — a load-side recompute matches iff the payload survived the
+/// disk intact.
+std::string entry_checksum(const std::string& key, const CachedEntry& entry,
+                           const std::optional<Json>& eco) {
   std::uint64_t h = netlist::fnv1a(key);
   h = netlist::fnv1a("\n", h);
   h = netlist::fnv1a(entry.job.dump(), h);
   h = netlist::fnv1a("\n", h);
-  h = netlist::fnv1a(sizes_json(entry).dump(), h);
-  if (!entry.eco.empty()) {
+  std::string sizes;
+  append_pairs(sizes, entry.sizes);
+  h = netlist::fnv1a(sizes, h);
+  if (eco) {
     h = netlist::fnv1a("\n", h);
-    h = netlist::fnv1a(eco_json(entry.eco).dump(), h);
+    h = netlist::fnv1a(eco->dump(), h);
   }
   return hex16(h);
 }
@@ -509,7 +504,7 @@ std::shared_ptr<const CachedEntry> ResultCache::load_from_disk(
     // verify before serving. Files from older builds lack the field and are
     // accepted as-is (back-compatible read).
     if (const Json* checksum = doc.find("checksum")) {
-      if (checksum->as_string() != entry_checksum(key, entry)) {
+      if (checksum->as_string() != entry_checksum(key, entry, eco_json(entry.eco))) {
         throw std::runtime_error("checksum mismatch");
       }
     }
@@ -546,16 +541,24 @@ void ResultCache::persist(const std::string& key, const CachedEntry& entry) {
   if (disk_dir_.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(disk_dir_, ec);
-  Json doc = Json::object();
-  doc.set("schema", "lrsizer-cache-v1");
+  const std::optional<Json> eco = eco_json(entry.eco);
+  // The document as Json::dump(2) renders it, written member by member so
+  // the size pairs go straight from the vector.
+  std::string payload = "{\n  \"schema\": \"lrsizer-cache-v1\",\n  \"checksum\": ";
   // Verified on load. Placed before the payload it covers; still schema v1
   // (older readers never looked for it, older files load without it).
-  doc.set("checksum", entry_checksum(key, entry));
-  doc.set("key", key);
-  doc.set("job", entry.job);
-  doc.set("sizes", sizes_json(entry));
-  if (!entry.eco.empty()) doc.set("eco", eco_json(entry.eco));
-  const std::string payload = doc.dump(2) + "\n";
+  append_escaped(payload, entry_checksum(key, entry, eco));
+  payload += ",\n  \"key\": ";
+  append_escaped(payload, key);
+  payload += ",\n  \"job\": ";
+  entry.job.dump_to(payload, 2, 1);
+  payload += ",\n  \"sizes\": ";
+  append_pairs(payload, entry.sizes, 2, 1);
+  if (eco) {
+    payload += ",\n  \"eco\": ";
+    eco->dump_to(payload, 2, 1);
+  }
+  payload += "\n}\n";
   // Write-then-rename so concurrent processes sharing the cache dir (e.g.
   // sharded sweeps) never observe a torn entry; rename is atomic within a
   // directory. Racing writers produce identical bytes anyway (same key ⇒

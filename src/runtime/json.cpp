@@ -38,9 +38,7 @@ std::size_t Json::size() const {
   return 0;
 }
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
+void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
     switch (c) {
@@ -72,15 +70,15 @@ void append_number(std::string& out, double d) {
   }
   // Integers that fit exactly print without an exponent or trailing ".0",
   // everything else uses shortest-round-trip formatting.
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    const auto i = static_cast<std::int64_t>(d);
-    out += std::to_string(i);
-    return;
-  }
   char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), d);
+  const auto result =
+      d == std::floor(d) && std::abs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<std::int64_t>(d))
+          : std::to_chars(buf, buf + sizeof(buf), d);
   out.append(buf, result.ptr);
 }
+
+namespace {
 
 void append_newline_indent(std::string& out, int indent, int depth) {
   out.push_back('\n');
@@ -88,6 +86,30 @@ void append_newline_indent(std::string& out, int indent, int depth) {
 }
 
 }  // namespace
+
+void append_pairs(std::string& out,
+                  const std::vector<std::pair<std::int32_t, double>>& pairs,
+                  int indent, int depth) {
+  if (pairs.empty()) {
+    out += "[]";
+    return;
+  }
+  out.push_back('[');
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    if (indent > 0) append_newline_indent(out, indent, depth + 1);
+    out.push_back('[');
+    if (indent > 0) append_newline_indent(out, indent, depth + 2);
+    append_number(out, pairs[i].first);
+    out.push_back(',');
+    if (indent > 0) append_newline_indent(out, indent, depth + 2);
+    append_number(out, pairs[i].second);
+    if (indent > 0) append_newline_indent(out, indent, depth + 1);
+    out.push_back(']');
+  }
+  if (indent > 0) append_newline_indent(out, indent, depth);
+  out.push_back(']');
+}
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type()) {
@@ -213,14 +235,19 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // One append per run of plain characters (a request's inline .bench
+      // text is one long run).
+      std::size_t run = pos_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+             static_cast<unsigned char>(text_[run]) >= 0x20) {
+        ++run;
+      }
+      out.append(text_, pos_, run - pos_);
+      pos_ = run;
       if (pos_ >= text_.size()) fail("unterminated string");
       char c = text_[pos_++];
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20) fail("control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
       if (pos_ >= text_.size()) fail("unterminated escape");
       char e = text_[pos_++];
       switch (e) {

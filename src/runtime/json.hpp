@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -87,6 +88,9 @@ class Json {
   /// Serialize. indent <= 0 yields compact one-line output; indent > 0
   /// pretty-prints with that many spaces per level.
   std::string dump(int indent = 0) const;
+  /// Append dump(indent) to `out` as it renders nested `depth` levels deep
+  /// (the indentation of a value inside an enclosing document).
+  void dump_to(std::string& out, int indent = 0, int depth = 0) const;
 
   /// Parse a complete JSON document (trailing non-space input is an error).
   static Json parse(const std::string& text);
@@ -95,9 +99,25 @@ class Json {
   explicit Json(Array a) : value_(std::move(a)) {}
   explicit Json(Object o) : value_(std::move(o)) {}
 
-  void dump_to(std::string& out, int indent, int depth) const;
-
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
 };
+
+// ---- writer primitives ------------------------------------------------------
+//
+// The pieces Json::dump is made of, for writers that append a document
+// straight into one string instead of building a Json tree first (large
+// arrays in response lines and cache files). Output is byte-identical to
+// dump() of the equivalent tree.
+
+/// A JSON string literal, quotes included.
+void append_escaped(std::string& out, std::string_view s);
+/// A number as dump() writes it: integers below 1e15 without exponent or
+/// fraction, other finite values shortest-round-trip, non-finite as null.
+void append_number(std::string& out, double d);
+/// `pairs` as the array of [first, second] arrays dump(indent) renders at
+/// nesting `depth` — e.g. `[[3,1.5],[4,2]]` compact.
+void append_pairs(std::string& out,
+                  const std::vector<std::pair<std::int32_t, double>>& pairs,
+                  int indent = 0, int depth = 0);
 
 }  // namespace lrsizer::runtime

@@ -336,29 +336,29 @@ Json progress_json(const std::string& id, const core::OgwsIterate& iterate) {
   return j;
 }
 
-Json result_json(const std::string& id, bool cache_hit, const Json& job,
-                 const std::vector<std::pair<std::int32_t, double>>* sizes,
-                 const Json* trace, bool timeout) {
-  Json j = Json::object();
-  j.set("type", "result");
-  j.set("id", id);
-  j.set("cache_hit", cache_hit);
+std::string result_line(const std::string& id, bool cache_hit, const Json& job,
+                        const std::vector<std::pair<std::int32_t, double>>* sizes,
+                        const Json* trace, bool timeout) {
+  std::string line;
+  line.reserve(256 + (sizes ? 24 * sizes->size() : 0));
+  line += "{\"type\":\"result\",\"id\":";
+  runtime::append_escaped(line, id);
+  line += cache_hit ? ",\"cache_hit\":true" : ",\"cache_hit\":false";
   // Key absent on normal results (not `false`): cache-hit payloads must
   // stay byte-identical to pre-deadline builds.
-  if (timeout) j.set("timeout", true);
-  j.set("job", job);
+  if (timeout) line += ",\"timeout\":true";
+  line += ",\"job\":";
+  job.dump_to(line);
   if (sizes) {
-    Json array = Json::array();
-    for (const auto& [node, size] : *sizes) {
-      Json pair = Json::array();
-      pair.push_back(static_cast<std::int64_t>(node));
-      pair.push_back(size);
-      array.push_back(pair);
-    }
-    j.set("sizes", array);
+    line += ",\"sizes\":";
+    runtime::append_pairs(line, *sizes);
   }
-  if (trace) j.set("trace", *trace);
-  return j;
+  if (trace) {
+    line += ",\"trace\":";
+    trace->dump_to(line);
+  }
+  line += '}';
+  return line;
 }
 
 Json cancelled_json(const std::string& id, const Json* partial_job) {

@@ -89,6 +89,10 @@ api::Status apply_request_options(const runtime::Json& overrides,
                                   core::FlowOptions* options);
 
 // ---- response builders (serialize with .dump() — compact, one line) --------
+//
+// result_line is the exception: the result carries the job's size vector,
+// the one response whose size grows with the circuit, so it is written
+// straight to its line.
 
 /// First line the server emits; names the schema, server version, worker
 /// count and cache mode ("memory" or "disk").
@@ -102,15 +106,18 @@ runtime::Json accepted_json(const std::string& id, const std::string& key);
 runtime::Json progress_json(const std::string& id,
                             const core::OgwsIterate& iterate);
 
-/// Terminal success. `job` is the lrsizer-batch-v1 job object — served
-/// verbatim from the cache on a hit, so duplicate jobs get byte-identical
-/// payloads. `sizes` (optional) is the final sparse size vector; `trace`
-/// (optional) the job's lrsizer-trace-v1 document (requested via "trace",
-/// cold runs only). `timeout` marks a deadline-cut partial result: the job
-/// object then has "cancelled": true and carries the best iterate's KKT
-/// state; the key is absent entirely on normal results, keeping cache-hit
-/// payloads byte-identical to pre-deadline builds.
-runtime::Json result_json(
+/// Terminal success, as the finished line (compact, no newline). `job` is
+/// the lrsizer-batch-v1 job object — served verbatim from the cache on a
+/// hit, so duplicate jobs get byte-identical payloads. `sizes` (optional)
+/// is the final sparse size vector; `trace` (optional) the job's
+/// lrsizer-trace-v1 document (requested via "trace", cold runs only).
+/// `timeout` marks a deadline-cut partial result: the job object then has
+/// "cancelled": true and carries the best iterate's KKT state; the key is
+/// absent entirely on normal results, keeping cache-hit payloads
+/// byte-identical to pre-deadline builds. The line is appended piece by
+/// piece (the size pairs straight from the vector) with the Json writer's
+/// primitives, so it is byte-identical to dump() of the equivalent object.
+std::string result_line(
     const std::string& id, bool cache_hit, const runtime::Json& job,
     const std::vector<std::pair<std::int32_t, double>>* sizes,
     const runtime::Json* trace = nullptr, bool timeout = false);

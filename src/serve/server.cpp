@@ -233,6 +233,10 @@ std::size_t Server::active_clients() const {
 }
 
 void Server::emit(ClientId client, const Json& response) {
+  emit(client, response.dump());
+}
+
+void Server::emit(ClientId client, const std::string& line) {
   std::shared_ptr<Client> target;
   {
     const std::lock_guard<std::mutex> lock(clients_mutex_);
@@ -240,7 +244,6 @@ void Server::emit(ClientId client, const Json& response) {
     if (it == clients_.end()) return;  // client gone; drop the line
     target = it->second;
   }
-  const std::string line = response.dump();
   const std::lock_guard<std::mutex> lock(target->mutex);
   if (target->sink) target->sink(line);
 }
@@ -304,25 +307,31 @@ StatsSnapshot Server::stats_snapshot() const {
   return s;
 }
 
-void Server::finish(const std::shared_ptr<Pending>& pending) {
+void Server::finish(const std::shared_ptr<Pending>& pending,
+                    const std::string& line) {
   const auto now = std::chrono::steady_clock::now();
   const double seconds =
       std::chrono::duration<double>(now - pending->accepted_at).count();
   latency_seconds_->observe(seconds);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  active_.erase(pending->scoped_id);
-  --in_flight_;
-  queue_cost_ -= pending->cost;
-  const auto it = client_pending_.find(pending->client);
-  if (it != client_pending_.end() && --it->second <= 0) {
-    client_pending_.erase(it);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    active_.erase(pending->scoped_id);
+    --in_flight_;
+    queue_cost_ -= pending->cost;
+    const auto it = client_pending_.find(pending->client);
+    if (it != client_pending_.end() && --it->second <= 0) {
+      client_pending_.erase(it);
+    }
+    ++emitting_;
   }
-  if (in_flight_ == 0) idle_cv_.notify_all();
+  emit(pending->client, line);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (--emitting_ == 0 && in_flight_ == 0) idle_cv_.notify_all();
 }
 
 void Server::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  idle_cv_.wait(lock, [this] { return in_flight_ == 0 && emitting_ == 0; });
 }
 
 void Server::begin_drain() {
@@ -331,7 +340,7 @@ void Server::begin_drain() {
 
 bool Server::idle() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return in_flight_ == 0;
+  return in_flight_ == 0 && emitting_ == 0;
 }
 
 int Server::serve_stream(std::istream& in) {
@@ -350,8 +359,8 @@ bool Server::handle_line(const std::string& line) {
 }
 
 void Server::reject(ClientId client, const std::string& message) {
-  emit(client, error_json("", "oversized", message));
   errors_total_->inc();
+  emit(client, error_json("", "oversized", message));
 }
 
 bool Server::handle_line(ClientId client, const std::string& line) {
@@ -364,8 +373,8 @@ bool Server::handle_line(ClientId client, const std::string& line) {
   if (const api::Status st =
           parse_request(line, options_.base_options, &request, &id);
       !st.ok()) {
-    emit(client, error_json(id, "parse", st.message()));
     errors_total_->inc();
+    emit(client, error_json(id, "parse", st.message()));
     return true;
   }
   switch (request.kind) {
@@ -394,8 +403,8 @@ void Server::handle_cancel(ClientId client, const std::string& id) {
     if (it != active_.end()) pending = it->second;
   }
   if (!pending) {
-    emit(client, error_json(id, "not_found", "cancel: no active job with this id"));
     errors_total_->inc();
+    emit(client, error_json(id, "not_found", "cancel: no active job with this id"));
     return;
   }
   // Cooperative: a running session stops at its next OGWS iteration; a
@@ -456,43 +465,43 @@ void Server::handle_size(ClientId client, SizeRequest request) {
     case Admit::kOk:
       break;
     case Admit::kDraining:
+      errors_total_->inc();
       emit(client, error_json(id, "shutdown",
                               "server is draining and accepts no new jobs"));
-      errors_total_->inc();
       return;
     case Admit::kDuplicateId:
+      errors_total_->inc();
       emit(client, error_json(id, "duplicate_id",
                               "a job with this id is already active"));
-      errors_total_->inc();
       return;
     case Admit::kBackpressure:
+      errors_total_->inc();
+      shed_total_->inc();
       emit(client,
            error_json(id, "overloaded",
                       "backpressure: " + std::to_string(options_.max_pending) +
                           " jobs already pending — retry later",
                       retry_after_ms(depth)));
-      errors_total_->inc();
-      shed_total_->inc();
       return;
     case Admit::kClientCap:
+      errors_total_->inc();
+      shed_total_->inc();
       emit(client,
            error_json(id, "overloaded",
                       "fairness: this client already has " +
                           std::to_string(options_.max_pending_per_client) +
                           " jobs pending — retry later",
                       retry_after_ms(depth)));
-      errors_total_->inc();
-      shed_total_->inc();
       return;
     case Admit::kQueueCost:
+      errors_total_->inc();
+      shed_total_->inc();
       emit(client,
            error_json(id, "overloaded",
                       "queue cost budget exhausted (" +
                           std::to_string(options_.max_queue_cost) +
                           " nodes) — retry later",
                       retry_after_ms(depth)));
-      errors_total_->inc();
-      shed_total_->inc();
       return;
   }
   accepted_total_->inc();
@@ -580,26 +589,25 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
       if (pending->stop.get_token().stop_requested()) {
         if (pending->timed_out.load(std::memory_order_acquire)) {
           // A deduped follower has no partial of its own to answer with.
-          emit(pending->client,
-               error_json(pending->request.id, "deadline",
-                          "deadline exceeded while waiting on a deduped "
-                          "identical job"));
           errors_total_->inc();
           timeouts_total_->inc();
+          finish(pending,
+                 error_json(pending->request.id, "deadline",
+                            "deadline exceeded while waiting on a deduped "
+                            "identical job")
+                     .dump());
         } else {
-          emit(pending->client, cancelled_json(pending->request.id, nullptr));
           cancelled_total_->inc();
+          finish(pending, cancelled_json(pending->request.id, nullptr).dump());
         }
-        finish(pending);
         return;
       }
       if (entry) {
-        emit(pending->client,
-             result_json(pending->request.id, true, entry->job,
-                         pending->request.want_sizes ? &entry->sizes : nullptr));
         results_total_->inc();
         cache_hits_total_->inc();
-        finish(pending);
+        finish(pending,
+               result_line(pending->request.id, true, entry->job,
+                           pending->request.want_sizes ? &entry->sizes : nullptr));
       } else {
         // Owner failed or was cancelled — run this job on its own. It
         // re-acquires: it may become the new owner or follow another twin.
@@ -608,12 +616,11 @@ void Server::schedule(std::shared_ptr<Pending> pending) {
     };
     switch (cache_->acquire(pending->key, &hit, on_done)) {
       case ResultCache::Acquire::kHit:
-        emit(pending->client,
-             result_json(pending->request.id, true, hit->job,
-                         pending->request.want_sizes ? &hit->sizes : nullptr));
         results_total_->inc();
         cache_hits_total_->inc();
-        finish(pending);
+        finish(pending,
+               result_line(pending->request.id, true, hit->job,
+                           pending->request.want_sizes ? &hit->sizes : nullptr));
         return;
       case ResultCache::Acquire::kFollower:
         return;
@@ -674,6 +681,9 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
   runtime::JobOutcome outcome =
       run_job(std::move(pending->request.job), controls);
 
+  // The terminal line; every path counts its responses before finish()
+  // sends it.
+  std::string line;
   if (outcome.ok && !outcome.cancelled) {
     CachedEntry entry;
     entry.job = runtime::job_json(outcome);
@@ -696,14 +706,12 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
     }
     std::optional<Json> trace_doc;
     if (trace) trace_doc = Json::parse(trace->dump_json());
-    const Json response =
-        result_json(pending->request.id, false, entry.job,
-                    pending->request.want_sizes ? &entry.sizes : nullptr,
-                    trace_doc ? &*trace_doc : nullptr);
+    line = result_line(pending->request.id, false, entry.job,
+                       pending->request.want_sizes ? &entry.sizes : nullptr,
+                       trace_doc ? &*trace_doc : nullptr);
     // Publish before emitting: a client that reacts to this line at once
     // (an exact repeat, an ECO edit naming this key) must find the entry.
     if (pending->cacheable) cache_->publish(pending->key, std::move(entry));
-    emit(pending->client, response);
     results_total_->inc();
   } else if (outcome.cancelled) {
     if (pending->cacheable) cache_->abandon(pending->key);
@@ -719,32 +727,30 @@ void Server::execute(const std::shared_ptr<Pending>& pending) {
         if (pending->request.want_sizes) {
           sizes = runtime::sparse_sizes(*outcome.flow);
         }
-        emit(pending->client,
-             result_json(pending->request.id, false, job,
-                         pending->request.want_sizes ? &sizes : nullptr,
-                         nullptr, /*timeout=*/true));
+        line = result_line(pending->request.id, false, job,
+                           pending->request.want_sizes ? &sizes : nullptr,
+                           nullptr, /*timeout=*/true);
         results_total_->inc();
       } else {
         // Deadline fired before the sizing stage produced anything usable.
-        emit(pending->client,
-             error_json(pending->request.id, "deadline",
-                        "deadline exceeded before a partial result existed"));
+        line = error_json(pending->request.id, "deadline",
+                          "deadline exceeded before a partial result existed")
+                   .dump();
         errors_total_->inc();
       }
     } else {
       std::optional<Json> partial;
       if (outcome.ok) partial = runtime::job_json(outcome);
-      emit(pending->client,
-           cancelled_json(pending->request.id, partial ? &*partial : nullptr));
+      line = cancelled_json(pending->request.id, partial ? &*partial : nullptr)
+                 .dump();
       cancelled_total_->inc();
     }
   } else {
     if (pending->cacheable) cache_->abandon(pending->key);
-    emit(pending->client,
-         error_json(pending->request.id, "failed", outcome.error));
+    line = error_json(pending->request.id, "failed", outcome.error).dump();
     errors_total_->inc();
   }
-  finish(pending);
+  finish(pending, line);
 }
 
 }  // namespace lrsizer::serve

@@ -245,13 +245,19 @@ class Server {
   /// callbacks are tagged with `this` and dropped again in the destructor).
   void register_metrics();
   void emit(ClientId client, const runtime::Json& response);
+  void emit(ClientId client, const std::string& line);
   /// Route through the cache (hit / follower / owner) or straight to the
   /// pool. Safe to call from read threads and from follower callbacks.
   void schedule(std::shared_ptr<Pending> pending);
   /// Run the job on the current (worker) thread and emit its terminal
   /// response; publishes/abandons the cache key for owners.
   void execute(const std::shared_ptr<Pending>& pending);
-  void finish(const std::shared_ptr<Pending>& pending);
+  /// The terminal step of every job: count it finished (latency, queue
+  /// depth, admission budgets), then emit its terminal `line`. Counting
+  /// first means a client reacting to the line (say, with a stats request)
+  /// sees the job done; callers bump their response counters before this
+  /// call for the same reason. drain() still waits for the line itself.
+  void finish(const std::shared_ptr<Pending>& pending, const std::string& line);
   void handle_size(ClientId client, SizeRequest request);
   void handle_cancel(ClientId client, const std::string& id);
   /// Register `pending` with the deadline watchdog (lazily starting it).
@@ -295,12 +301,15 @@ class Server {
   /// Set by begin_drain(); read lock-free on the request path.
   std::atomic<bool> draining_{false};
 
-  mutable std::mutex mutex_;  ///< guards active_, in_flight_, queue_cost_,
-                              ///< client_pending_
+  mutable std::mutex mutex_;  ///< guards active_, in_flight_, emitting_,
+                              ///< queue_cost_, client_pending_
   std::condition_variable idle_cv_;
   /// scoped_id -> job; ids live in per-client namespaces.
   std::unordered_map<std::string, std::shared_ptr<Pending>> active_;
   std::size_t in_flight_ = 0;
+  /// Terminal lines finish() has counted but not yet handed to their sink;
+  /// drain() and idle() wait for these too.
+  std::size_t emitting_ = 0;
   /// Σ Pending::cost of accepted-but-unfinished jobs (admission budget).
   std::int64_t queue_cost_ = 0;
   /// Accepted-but-unfinished jobs per client (fairness cap); entries are

@@ -110,6 +110,35 @@ TEST(CacheKey, AnyOtherOptionInvalidatesTheKey) {
   EXPECT_NE(runtime::cache_key(nl, reelab).key, base.key);
 }
 
+TEST(CacheKey, KeysArePinnedAcrossParserRewrites) {
+  // Keys name on-disk cache files, so the same .bench text must keep
+  // mapping to the same key. Pinned values for default options; the
+  // shuffled copy defines most gates after their readers (forward
+  // references) and so pins the parser's topological emission order.
+  const core::FlowOptions options;
+  EXPECT_EQ(runtime::cache_key(netlist::parse_bench_string(netlist::kIscas85C17),
+                               options)
+                .key,
+            "n0bca2e6c9d14d0d5-e35d65159b012b322-oae6c127c34bc5dc5");
+  const std::string text = netlist::to_bench_string(
+      netlist::generate_circuit(netlist::spec_for_profile("c7552", 1)));
+  EXPECT_EQ(runtime::cache_key(netlist::parse_bench_string(text), options).key,
+            "nd7c8faec6231d27e-e35d65159b012b322-oae6c127c34bc5dc5");
+  // Fisher-Yates over the lines with a fixed 64-bit LCG.
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::uint64_t state = 7;
+  for (std::size_t i = lines.size(); i > 1; --i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::swap(lines[i - 1], lines[static_cast<std::size_t>((state >> 33) % i)]);
+  }
+  std::string shuffled;
+  for (const std::string& line : lines) shuffled += line + "\n";
+  EXPECT_EQ(runtime::cache_key(netlist::parse_bench_string(shuffled), options).key,
+            "n596ce89ced8115e9-e35d65159b012b322-oae6c127c34bc5dc5");
+}
+
 // ---- ResultCache ------------------------------------------------------------
 
 runtime::CachedEntry make_entry(const std::string& marker) {
@@ -242,6 +271,136 @@ TEST(ResultCache, DiskEntriesSurviveAcrossInstances) {
   }
   runtime::ResultCache corrupt(dir.string());
   EXPECT_EQ(corrupt.lookup("nBAD-eBAD-oBAD"), nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+/// An entry persisted by an earlier build of ResultCache (checksummed,
+/// with an ECO index and numbers in every format the writer produces).
+const char* const kEarlierBuildEntry = R"json({
+  "schema": "lrsizer-cache-v1",
+  "checksum": "1828d8f3368b98ef",
+  "key": "ngolden-entry",
+  "job": {
+    "name": "golden",
+    "area": 123.456,
+    "converged": true,
+    "nested": {
+      "values": [
+        1,
+        2.5,
+        -3e-09,
+        1e+300
+      ],
+      "text": "tab\there \"quoted\""
+    }
+  },
+  "sizes": [
+    [
+      0,
+      1
+    ],
+    [
+      3,
+      0.1
+    ],
+    [
+      7,
+      2.5e-07
+    ],
+    [
+      12,
+      1234567.875
+    ],
+    [
+      15,
+      3.0000000000000004
+    ],
+    [
+      2147483647,
+      1e+15
+    ]
+  ],
+  "eco": {
+    "nets": [
+      [
+        "0123456789abcdef",
+        [
+          1,
+          0.3333333333333333
+        ]
+      ],
+      [
+        "fedcba9876543210",
+        []
+      ]
+    ],
+    "output_cones": [
+      "00000000deadbeef",
+      "000000000000002a"
+    ],
+    "lambda": [
+      0.5,
+      1e-12
+    ],
+    "beta": 0.25,
+    "gamma": 7,
+    "gamma_net": [
+      0.125
+    ],
+    "num_nodes": 17,
+    "num_edges": 23
+  }
+}
+)json";
+
+/// The same build's file for an entry with no sizes and no ECO index.
+const char* const kEarlierBuildPlainEntry = R"json({
+  "schema": "lrsizer-cache-v1",
+  "checksum": "798d535916744b84",
+  "key": "ngolden-plain",
+  "job": {
+    "name": "plain"
+  },
+  "sizes": []
+}
+)json";
+
+TEST(ResultCache, ReadsAndRewritesEntriesWrittenByEarlierBuilds) {
+  const auto dir = std::filesystem::temp_directory_path() / "lrsizer_cache_compat";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir / "in");
+  {
+    std::ofstream out(dir / "in" / "ngolden-entry.json", std::ios::binary);
+    out << kEarlierBuildEntry;
+  }
+  runtime::ResultCache cache((dir / "in").string());
+  const auto hit = cache.lookup("ngolden-entry");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(cache.corrupt(), 0u);  // the checksum verified
+  const std::vector<std::pair<std::int32_t, double>> sizes = {
+      {0, 1.0}, {3, 0.1}, {7, 2.5e-7}, {12, 1234567.875},
+      {15, 3.0000000000000004}, {2147483647, 1e15}};
+  EXPECT_EQ(hit->sizes, sizes);
+  ASSERT_EQ(hit->eco.nets.size(), 2u);
+  EXPECT_EQ(hit->eco.nets[0].cone, 0x0123456789abcdefULL);
+  EXPECT_EQ(hit->eco.num_edges, 23);
+
+  // Persisting the loaded entry again reproduces the file byte for byte,
+  // as does persisting an entry without sizes or ECO index.
+  runtime::ResultCache rewrite((dir / "out").string());
+  rewrite.store(runtime::CacheKey{"ngolden-entry"}, *hit);
+  runtime::CachedEntry plain;
+  plain.job = Json::object();
+  plain.job.set("name", "plain");
+  rewrite.store(runtime::CacheKey{"ngolden-plain"}, plain);
+  const auto written = [&dir](const std::string& key) {
+    std::ifstream in(dir / "out" / (key + ".json"), std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  EXPECT_EQ(written("ngolden-entry"), kEarlierBuildEntry);
+  EXPECT_EQ(written("ngolden-plain"), kEarlierBuildPlainEntry);
   std::filesystem::remove_all(dir);
 }
 
@@ -566,6 +725,80 @@ TEST(Protocol, EcoBaseParsesAndExcludesWarmStart) {
                    .ok());
 }
 
+/// The result response as a Json tree, the way it was built before
+/// result_line wrote it directly: the reference the line must match.
+Json result_tree(const std::string& id, bool cache_hit, const Json& job,
+                 const std::vector<std::pair<std::int32_t, double>>* sizes,
+                 const Json* trace, bool timeout) {
+  Json j = Json::object();
+  j.set("type", "result");
+  j.set("id", id);
+  j.set("cache_hit", cache_hit);
+  if (timeout) j.set("timeout", true);
+  j.set("job", job);
+  if (sizes) {
+    Json array = Json::array();
+    for (const auto& [node, size] : *sizes) {
+      Json pair = Json::array();
+      pair.push_back(static_cast<std::int64_t>(node));
+      pair.push_back(size);
+      array.push_back(pair);
+    }
+    j.set("sizes", array);
+  }
+  if (trace) j.set("trace", *trace);
+  return j;
+}
+
+TEST(Protocol, ResultLineIsByteIdenticalToTheJsonTree) {
+  runtime::BatchJob batch_job;
+  batch_job.name = "c17";
+  batch_job.netlist = netlist::parse_bench_string(netlist::kIscas85C17);
+  batch_job.options = fast_options();
+  const auto outcome = runtime::run_job(std::move(batch_job));
+  ASSERT_TRUE(outcome.ok);
+  const Json job = runtime::job_json(outcome);
+  const auto real_sizes = runtime::sparse_sizes(*outcome.flow);
+  // Every number shape the writer distinguishes, including non-finite
+  // values (null) and integers at the exponent threshold.
+  const std::vector<std::pair<std::int32_t, double>> odd_sizes = {
+      {0, 1.0}, {1, 0.1}, {2, -2.5e-300}, {3, 1e15}, {4, 999999999999999.0},
+      {5, std::numeric_limits<double>::infinity()},
+      {6, std::numeric_limits<double>::quiet_NaN()}, {-7, -0.0}};
+  const std::vector<std::pair<std::int32_t, double>> no_sizes;
+  Json trace = Json::object();
+  trace.set("schema", "lrsizer-trace-v1");
+  Json spans = Json::array();
+  spans.push_back(Json::object());
+  spans.push_back(1.5);
+  trace.set("spans", spans);
+
+  struct Case {
+    const char* what;
+    bool cache_hit;
+    const std::vector<std::pair<std::int32_t, double>>* sizes;
+    const Json* trace;
+    bool timeout;
+  };
+  const Case cases[] = {
+      {"hit", true, nullptr, nullptr, false},
+      {"hit with sizes", true, &real_sizes, nullptr, false},
+      {"cold", false, nullptr, nullptr, false},
+      {"cold with sizes", false, &real_sizes, nullptr, false},
+      {"timeout", false, nullptr, nullptr, true},
+      {"timeout with sizes", false, &odd_sizes, nullptr, true},
+      {"trace", false, nullptr, &trace, false},
+      {"trace with sizes", false, &no_sizes, &trace, false},
+  };
+  for (const Case& c : cases) {
+    for (const std::string id : {"job-1", "quote\" back\\slash\n\x01"}) {
+      EXPECT_EQ(serve::result_line(id, c.cache_hit, job, c.sizes, c.trace, c.timeout),
+                result_tree(id, c.cache_hit, job, c.sizes, c.trace, c.timeout).dump())
+          << c.what;
+    }
+  }
+}
+
 TEST(Protocol, RejectsMalformedRequests) {
   serve::Request request;
   const core::FlowOptions base;
@@ -802,6 +1035,60 @@ TEST(Server, DuplicateJobsAnswerFromCacheByteIdentically) {
   // Different seed = different netlist: a miss that re-runs.
   EXPECT_FALSE(by_id[2].at("cache_hit").as_bool());
   EXPECT_NE(by_id[0].at("job").dump(), by_id[2].at("job").dump());
+}
+
+TEST(Server, EveryAnswerIsCountedBeforeItsLineGoesOut) {
+  // A client that reacts to a terminal line — say, with a stats request —
+  // must find that answer counted: the response counters, the latency
+  // histogram and the queue depth move before the line is written. The
+  // sink reads the stats the moment each line arrives.
+  serve::ServerOptions options;
+  options.jobs = 1;
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t answers = 0;
+  std::size_t job_answers = 0;
+  std::vector<std::string> uncounted;
+  serve::Server* server_ptr = nullptr;
+  serve::Server server(options, [&](const std::string& line) {
+    const Json response = Json::parse(line);
+    const std::string& type = response.at("type").as_string();
+    if (type != "result" && type != "cancelled" && type != "error") return;
+    const serve::StatsSnapshot s = server_ptr->stats_snapshot();
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++answers;
+    if (response.at("id").as_string() != "ghost") ++job_answers;
+    if (s.completed + s.cancelled + s.errors < answers ||
+        s.latency_count < job_answers || s.queue_depth + job_answers > s.accepted) {
+      uncounted.push_back(line.substr(0, 60) + " (completed " +
+                          std::to_string(s.completed) + ", queue_depth " +
+                          std::to_string(s.queue_depth) + ")");
+    }
+    cv.notify_all();
+  });
+  server_ptr = &server;
+  const auto await = [&](std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return answers >= n; }));
+  };
+  server.handle_line(size_request("a", "c17"));  // cold run
+  await(1);
+  server.handle_line(size_request("b", "c17"));  // exact cache hit
+  await(2);
+  server.handle_line(R"({"type":"cancel","id":"ghost"})");  // not_found error
+  await(3);
+  // An in-flight twin (the follower path) and a cancelled job.
+  server.handle_line(size_request("c", "c880"));
+  server.handle_line(size_request("d", "c880"));
+  server.handle_line(size_request("e", "c499"));
+  server.handle_line(R"({"type":"cancel","id":"e"})");
+  await(6);
+  server.drain();
+  const std::lock_guard<std::mutex> lock(mutex);
+  for (const std::string& line : uncounted) {
+    ADD_FAILURE() << "answer written before it was counted: " << line;
+  }
 }
 
 /// Inline-.bench size request (the ECO flow needs two *different* netlists

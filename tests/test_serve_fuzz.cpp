@@ -196,6 +196,10 @@ TEST(ServeFuzz, AdversarialPayloadsNeverCrashTheServer) {
       R"({"type":"size","id":"x","input":{"profile":"c9999"}})",
       R"({"type":"size","id":"x","input":{"profile":"c17","bench":"x"}})",
       R"({"type":"size","id":"x","input":{"bench":"INPUT(}garbage{"}})",
+      // Well-formed .bench lines describing netlists LogicNetlist refuses
+      // (arity, an unused signal): parse errors, not an aborted server.
+      R"({"type":"size","id":"x","input":{"bench":"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a, b)\n"}})",
+      R"({"type":"size","id":"x","input":{"bench":"INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\n"}})",
       R"({"type":"size","id":"x","seed":-1,"input":{"profile":"c17"}})",
       R"({"type":"size","id":"x","seed":1e308,"input":{"profile":"c17"}})",
       R"({"type":"size","id":"x","seed":0.5,"input":{"profile":"c17"}})",
